@@ -33,6 +33,29 @@ class LineState:
         return f"LineState(0x{self.line_addr:x}, owner={self.owner}{flags})"
 
 
+class LineIndex(dict):
+    """line address -> the slots (frames or sets) holding it.
+
+    For stores that could otherwise only find a line by walking every
+    slot.  The list has one entry per resident copy, so a line resident
+    under several domains lists each of its slots.
+    """
+
+    def add(self, line_addr: int, slot: int) -> None:
+        slots = self.get(line_addr)
+        if slots is None:
+            self[line_addr] = [slot]
+        else:
+            slots.append(slot)
+
+    def discard(self, line_addr: int, slot: int) -> None:
+        slots = self[line_addr]
+        if len(slots) == 1:
+            del self[line_addr]
+        else:
+            slots.remove(slot)
+
+
 class TagStore:
     """Abstract tag store.
 

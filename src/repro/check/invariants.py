@@ -9,7 +9,11 @@ tag store
     * no set holds more lines than the associativity;
     * for the stock set-associative mapping, every line sits in the
       set its address selects;
-    * occupancy never exceeds ``capacity_lines``.
+    * occupancy never exceeds ``capacity_lines``;
+    * Newcache and RPcache: the line -> slot/set index that
+      ``invalidate`` looks lines up in lists exactly the slots/sets each
+      line is resident in, and every Newcache slot is the one its RMT
+      entry maps to.
 
 MSHR file
     * occupancy <= capacity, and every entry is keyed by its own line;
@@ -131,7 +135,36 @@ def validate_tag_store(store, where: str = "tag-store",
                         f"line 0x{line:x} resident in set {set_index}, "
                         f"maps to set {line & mask}", index=index)
         return
-    # Generic TagStore (e.g. Newcache): global uniqueness + occupancy.
+    from repro.secure.newcache import Newcache
+    from repro.secure.rpcache import RPCache
+
+    if isinstance(store, Newcache):
+        expected = {}
+        for phys, entry in enumerate(store._phys):
+            if entry is None:
+                continue
+            expected.setdefault(entry.line_addr, []).append(phys)
+            if store._mapping.get((entry.rmt_id, entry.index)) != phys:
+                raise CheckViolation(
+                    "set-mapping", where,
+                    f"slot {phys} holds line 0x{entry.line_addr:x} but RMT "
+                    f"{entry.rmt_id} index {entry.index} maps to "
+                    f"{store._mapping.get((entry.rmt_id, entry.index))}",
+                    index=index)
+        occupied = sum(len(slots) for slots in expected.values())
+        if len(store._mapping) != occupied:
+            raise CheckViolation(
+                "set-mapping", where,
+                f"{len(store._mapping)} RMT entries for {occupied} "
+                f"occupied slots", index=index)
+        _check_line_index(store._where, expected, "slot", where, index)
+    elif isinstance(store, RPCache):
+        expected = {}
+        for set_index, cache_set in enumerate(store._sets):
+            for line_state in cache_set:
+                expected.setdefault(line_state.line_addr, []).append(set_index)
+        _check_line_index(store._where, expected, "set", where, index)
+    # Newcache, RPcache and other TagStores: global uniqueness + occupancy.
     lines = list(store.resident_lines())
     if len(lines) != len(set(lines)):
         duplicate = next(ln for ln in lines if lines.count(ln) > 1)
@@ -144,6 +177,21 @@ def validate_tag_store(store, where: str = "tag-store",
             "occupancy", where,
             f"{len(lines)} resident lines exceed capacity {capacity}",
             index=index)
+
+
+def _check_line_index(actual, expected, unit: str, where: str,
+                      index: Optional[int]) -> None:
+    """The store's line -> {unit} index must list exactly where each
+    resident line lives (as a multiset: one entry per resident copy)."""
+    for line in actual.keys() | expected.keys():
+        have = sorted(actual.get(line, ()))
+        want = expected.get(line, [])
+        if have != want:
+            raise CheckViolation(
+                "line-index", where,
+                f"line 0x{line:x} indexed at {unit}s {have}, "
+                f"resident in {unit}s {want}", index=index,
+                expected=str(want), actual=str(have))
 
 
 def _validate_mshr(l1, index: Optional[int]) -> None:

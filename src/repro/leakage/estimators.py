@@ -28,7 +28,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.util.rng import derive_seed
 
@@ -243,50 +246,52 @@ def success_rate_curve(
     if not secrets:
         raise ValueError("success rate of an empty joint is undefined")
     obs_alphabet = list(joint.observation_marginal())
+    column = {obs: j for j, obs in enumerate(obs_alphabet)}
     k_obs = len(obs_alphabet) + 1  # +1: an implicit unseen symbol
-    # Per-secret sampling tables and smoothed log-likelihood templates.
+    # Per-secret sampling tables (symbols as alphabet columns) and one
+    # (observations x secrets) table of smoothed log-likelihoods.  Every
+    # drawn observation comes from some row, so the alphabet covers it.
     rows = [joint.row(secret) for secret in secrets]
     cum_tables = []
     for row in rows:
-        symbols = list(row)
-        cum: List[int] = []
-        running = 0
-        for obs in symbols:
-            running += row[obs]
-            cum.append(running)
-        cum_tables.append((symbols, cum, running))
-    log_templates: List[Dict[Observation, float]] = []
-    for row in rows:
+        symbols = [column[obs] for obs in row]
+        cum = list(accumulate(row.values()))
+        cum_tables.append((symbols, cum, cum[-1]))
+    log_table = np.empty((len(obs_alphabet), len(secrets)), dtype=np.float64)
+    for idx, row in enumerate(rows):
         denom = math.log(sum(row.values()) + smoothing * k_obs)
-        log_templates.append(
-            {obs: math.log(row.get(obs, 0) + smoothing) - denom for obs in obs_alphabet}
-        )
-    floor_scores = [
-        math.log(smoothing) - math.log(sum(row.values()) + smoothing * k_obs) for row in rows
-    ]
+        log_table[:, idx] = [math.log(row.get(obs, 0) + smoothing) - denom for obs in obs_alphabet]
 
     points: List[Tuple[int, float, float]] = []
     for n in measurement_counts:
         if n <= 0:
             raise ValueError(f"measurement counts must be positive, got {n}")
         rng = random.Random(derive_seed(seed, "success-rate", n))
-        successes = 0
-        rank_sum = 0.0
+        randrange = rng.randrange
+        # Draw every repeat's (secret, observations) from the stream in
+        # the per-repeat order the attack consumes it.
+        true_idx = []
+        drawn = []
         for _ in range(repeats):
-            true_idx = rng.randrange(len(secrets))
-            symbols, cum, total_s = cum_tables[true_idx]
-            drawn = [symbols[bisect_right(cum, rng.randrange(total_s))] for _ in range(n)]
-            scores = []
-            for idx in range(len(secrets)):
-                template = log_templates[idx]
-                floor = floor_scores[idx]
-                scores.append(sum(template.get(obs, floor) for obs in drawn))
-            true_score = scores[true_idx]
-            higher = sum(1 for s in scores if s > true_score)
-            ties = sum(1 for s in scores if s == true_score) - 1
-            if higher == 0 and ties == 0:
-                successes += 1
-            rank_sum += 1 + higher + ties / 2.0
+            secret_idx = randrange(len(secrets))
+            symbols, cum, total_s = cum_tables[secret_idx]
+            true_idx.append(secret_idx)
+            drawn.append([symbols[bisect_right(cum, randrange(total_s))] for _ in range(n)])
+        drawn_cols = np.array(drawn, dtype=np.intp).reshape(repeats, n)
+        # Adding one observation's row at a time makes each score the
+        # left-to-right float sum of its n log-likelihoods (the order
+        # ``sum()`` used before Python 3.12), so the exact ``>``/``==``
+        # comparisons below do not depend on the Python version.
+        scores = np.zeros((repeats, len(secrets)), dtype=np.float64)
+        for j in range(n):
+            scores += log_table[drawn_cols[:, j]]
+        true_score = scores[np.arange(repeats), true_idx][:, None]
+        higher = np.count_nonzero(scores > true_score, axis=1).tolist()
+        ties = (np.count_nonzero(scores == true_score, axis=1) - 1).tolist()
+        successes = sum(1 for h, t in zip(higher, ties) if h == 0 and t == 0)
+        rank_sum = 0.0
+        for h, t in zip(higher, ties):
+            rank_sum += 1 + h + t / 2.0
         points.append((n, successes / repeats, rank_sum / repeats))
     return points
 

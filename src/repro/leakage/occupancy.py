@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.leakage.adapters import FunctionalScheme, resident_array
+from repro.leakage.adapters import FunctionalScheme
 from repro.leakage.estimators import (
     JointCounts,
     conditional_guessing_entropy,
@@ -78,30 +78,38 @@ def run_occupancy_trials(
     from repro.check import active_checker
 
     checker = active_checker()
+    access = store.access
+    fill = store.fill
+    victim_access = scheme.victim_access
+    randrange = rng.randrange
+    resident = None  # first trial: reset_victim walks the store itself
 
     for _ in range(trials):
         if checker is not None:
             checker.maybe_validate_store(store, where="occupancy.tag_store")
-        scheme.reset_victim()
+        # The previous trial's probe listed the resident lines and
+        # nothing has touched the store since, so the reset reuses it.
+        scheme.reset_victim(resident)
         # Prime: top the cache back up with attacker lines (after the
         # first trial only the previously displaced ones refill).  This
         # stays a per-line loop on purpose: ``access`` on a hit updates
         # recency state, which steers the victim's later evictions, so
         # a precomputed membership mask would change results.
         for line in prime_lines:
-            if not store.access(line, attacker_ctx):
-                store.fill(line, attacker_ctx)
+            if not access(line, attacker_ctx):
+                fill(line, attacker_ctx)
         # Victim: a secret-dependent working set.
-        secret = rng.randrange(m)
+        secret = randrange(m)
         for line in region_lines[: secret + 1]:
-            scheme.victim_access(line)
+            victim_access(line)
         # Probe: the aggregate miss count is the whole observation.
         # ``probe`` is side-effect-free in every store and each prime
         # address is resident at most once, so the per-line probe scan
         # collapses into one numpy range-membership count over the
-        # store's resident-line array.
-        resident = resident_array(store)
-        present = int(np.count_nonzero((resident >= ATTACKER_BASE_LINE) & (resident < prime_end)))
+        # store's resident lines.
+        resident = list(store.resident_lines())
+        lines = np.array(resident, dtype=np.int64)
+        present = int(np.count_nonzero((lines >= ATTACKER_BASE_LINE) & (lines < prime_end)))
         joint.add(secret, n_prime - present)
 
     return OccupancyResult(

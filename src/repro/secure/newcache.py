@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.context import AccessContext, DEFAULT_CONTEXT
-from repro.cache.tagstore import TagStore
+from repro.cache.tagstore import LineIndex, TagStore
 from repro.util.rng import HardwareRng
 
 
@@ -73,28 +73,27 @@ class Newcache(TagStore):
         self._phys: List[Optional[_PhysLine]] = [None] * self.capacity_lines
         self._mapping: Dict[Tuple[int, int], int] = {}
         self._free: List[int] = list(range(self.capacity_lines))
-
-    # -- geometry helpers ----------------------------------------------------
-
-    def _slot(self, line_addr: int, ctx: AccessContext) -> Tuple[int, int, int]:
-        """(rmt_id, logical index, tag) of a line address."""
-        index = line_addr & self._index_mask
-        tag = line_addr >> self.index_bits
-        return ctx.domain, index, tag
+        # line -> physical slots holding it (more than one only when the
+        # line is resident under several domains' RMTs)
+        self._where = LineIndex()
 
     # -- TagStore interface ----------------------------------------------
 
     def probe(self, line_addr: int, ctx: AccessContext = DEFAULT_CONTEXT) -> bool:
-        rmt_id, index, _ = self._slot(line_addr, ctx)
-        phys = self._mapping.get((rmt_id, index))
+        # The RMT is keyed by (domain, logical index); comparing the full
+        # line address stands in for the tag compare.
+        phys = self._mapping.get((ctx.domain, line_addr & self._index_mask))
         if phys is None:
             return False
         entry = self._phys[phys]
         return entry is not None and entry.line_addr == line_addr
 
     # Logical-DM lookup has no recency state, so access == probe.
-    def access(self, line_addr: int, ctx: AccessContext = DEFAULT_CONTEXT) -> bool:
-        return self.probe(line_addr, ctx)
+    access = probe
+
+    def _place(self, phys: int, rmt_id: int, index: int, line_addr: int) -> None:
+        self._phys[phys] = _PhysLine(rmt_id, index, line_addr)
+        self._where.add(line_addr, phys)
 
     def _evict_phys(self, phys: int) -> Optional[int]:
         entry = self._phys[phys]
@@ -102,6 +101,7 @@ class Newcache(TagStore):
             return None
         del self._mapping[(entry.rmt_id, entry.index)]
         self._phys[phys] = None
+        self._where.discard(entry.line_addr, phys)
         return entry.line_addr
 
     def _random_victim(self) -> int:
@@ -115,7 +115,8 @@ class Newcache(TagStore):
 
     def fill(self, line_addr: int,
              ctx: AccessContext = DEFAULT_CONTEXT) -> Optional[int]:
-        rmt_id, index, _ = self._slot(line_addr, ctx)
+        rmt_id = ctx.domain
+        index = line_addr & self._index_mask
         key = (rmt_id, index)
         phys = self._mapping.get(key)
         if phys is not None:
@@ -125,29 +126,38 @@ class Newcache(TagStore):
             # Tag miss: replace the mapped line's data in place (SecRAND's
             # same-domain path; cross-domain sharing of an RMT does not
             # occur in our experiments).
-            evicted = entry.line_addr if entry is not None else None
-            self._phys[phys] = _PhysLine(rmt_id, index, line_addr)
+            evicted = None
+            if entry is not None:
+                evicted = entry.line_addr
+                self._where.discard(evicted, phys)
+            self._place(phys, rmt_id, index, line_addr)
             return evicted
         # Index miss: random victim anywhere, remap.
         victim = self._random_victim()
         evicted = self._evict_phys(victim)
-        self._phys[victim] = _PhysLine(rmt_id, index, line_addr)
+        self._place(victim, rmt_id, index, line_addr)
         self._mapping[key] = victim
         return evicted
 
     def invalidate(self, line_addr: int) -> bool:
-        # The line may be mapped under any domain's RMT; scan mappings for
-        # this address (invalidation is off the critical path).
-        for (rmt_id, index), phys in list(self._mapping.items()):
-            entry = self._phys[phys]
-            if entry is not None and entry.line_addr == line_addr:
-                self._evict_phys(phys)
-                self._free.append(phys)
-                return True
-        return False
+        # The line may be mapped under any domain's RMT.  The leakage
+        # trial loops invalidate on every victim reset, so look the line
+        # up in the slot index; only a line resident under several RMTs
+        # scans the mappings, to drop the earliest-mapped copy.
+        slots = self._where.get(line_addr)
+        if slots is None:
+            return False
+        if len(slots) == 1:
+            phys = slots[0]
+        else:
+            phys = next(p for p in self._mapping.values() if p in slots)
+        self._evict_phys(phys)
+        self._free.append(phys)
+        return True
 
     def flush(self) -> None:
         self._mapping.clear()
+        self._where.clear()
         self._phys = [None] * self.capacity_lines
         self._free = list(range(self.capacity_lines))
 

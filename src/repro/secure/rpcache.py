@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.cache.context import AccessContext, DEFAULT_CONTEXT
 from repro.cache.replacement import LruPolicy, ReplacementPolicy
-from repro.cache.tagstore import LineState, TagStore
+from repro.cache.tagstore import LineIndex, LineState, TagStore
 from repro.memory.address import AddressMap
 from repro.util.rng import HardwareRng
 
@@ -43,6 +43,9 @@ class RPCache(TagStore):
         self._rng = rng if rng is not None else HardwareRng(seed)
         self._sets: List[List[LineState]] = [[] for _ in range(self.num_sets)]
         self._perms: Dict[int, List[int]] = {}
+        # line -> sets holding it (more than one only when the line is
+        # resident under several domains' permutations)
+        self._where = LineIndex()
 
     # -- permutation tables ------------------------------------------------
 
@@ -71,9 +74,20 @@ class RPCache(TagStore):
                 return i
         return -1
 
+    def _insert(self, set_index: int, line_addr: int, ctx: AccessContext) -> None:
+        self.policy.on_fill(self._sets[set_index], LineState(
+            line_addr, owner=ctx.thread_id, domain=ctx.domain))
+        self._where.add(line_addr, set_index)
+
     def _invalidate_domain_lines(self, set_index: int, domain: int) -> None:
         cache_set = self._sets[set_index]
-        cache_set[:] = [line for line in cache_set if line.domain != domain]
+        kept = []
+        for line in cache_set:
+            if line.domain == domain:
+                self._where.discard(line.line_addr, set_index)
+            else:
+                kept.append(line)
+        cache_set[:] = kept
 
     # -- TagStore interface ----------------------------------------------
 
@@ -97,16 +111,15 @@ class RPCache(TagStore):
         if self._find(cache_set, line_addr) >= 0:
             return None
         if len(cache_set) < self.associativity:
-            self.policy.on_fill(cache_set, LineState(
-                line_addr, owner=ctx.thread_id, domain=ctx.domain))
+            self._insert(set_index, line_addr, ctx)
             return None
         victim_idx = self.policy.choose_victim(
             cache_set, list(range(len(cache_set))))
         victim = cache_set[victim_idx]
         if victim.domain == ctx.domain:
             cache_set.pop(victim_idx)
-            self.policy.on_fill(cache_set, LineState(
-                line_addr, owner=ctx.thread_id, domain=ctx.domain))
+            self._where.discard(victim.line_addr, set_index)
+            self._insert(set_index, line_addr, ctx)
             return victim.line_addr
         # Cross-domain eviction: evict from a random set S' instead,
         # swap S and S' in the requester's permutation table, and
@@ -117,25 +130,30 @@ class RPCache(TagStore):
         if other_set:
             evicted = other_set.pop(
                 self._rng.draw_below(len(other_set))).line_addr
+            self._where.discard(evicted, other_index)
         self._swap_indices(ctx.domain, set_index, other_index)
         self._invalidate_domain_lines(set_index, ctx.domain)
         self._invalidate_domain_lines(other_index, ctx.domain)
-        self.policy.on_fill(self._sets[other_index], LineState(
-            line_addr, owner=ctx.thread_id, domain=ctx.domain))
+        self._insert(other_index, line_addr, ctx)
         return evicted
 
     def invalidate(self, line_addr: int) -> bool:
-        # The line may live under any domain's mapping; search all sets.
-        for cache_set in self._sets:
-            index = self._find(cache_set, line_addr)
-            if index >= 0:
-                cache_set.pop(index)
-                return True
-        return False
+        # The line may live under any domain's mapping; the set index
+        # finds it without a walk over every set.  A line resident under
+        # several domains drops its copy in the lowest-numbered set.
+        sets = self._where.get(line_addr)
+        if sets is None:
+            return False
+        set_index = min(sets)
+        cache_set = self._sets[set_index]
+        cache_set.pop(self._find(cache_set, line_addr))
+        self._where.discard(line_addr, set_index)
+        return True
 
     def flush(self) -> None:
         for cache_set in self._sets:
             cache_set.clear()
+        self._where.clear()
 
     def resident_lines(self) -> Iterator[int]:
         for cache_set in self._sets:

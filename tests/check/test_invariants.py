@@ -203,3 +203,71 @@ class TestNewcacheStore:
     def test_healthy_newcache_validates(self):
         l1 = _ran_l1("newcache", window=None)
         validate_l1(l1)
+
+
+def _occupancy_scheme(name):
+    """A functional scheme whose store has run a few occupancy trials."""
+    from repro.leakage.adapters import build_functional_scheme
+    from repro.leakage.occupancy import run_occupancy_trials
+    from repro.secure.region import ProtectedRegion
+
+    scheme = build_functional_scheme(name, ProtectedRegion(0x10000, 16 * 64), seed=2)
+    run_occupancy_trials(scheme, trials=20, seed=3)
+    return scheme
+
+
+class TestLineIndex:
+    """Newcache/RPcache ``invalidate`` trusts a line -> slot/set index;
+    a stale entry must fail checked mode, not misdirect invalidations."""
+
+    @pytest.mark.parametrize("name", ["newcache", "rpcache"])
+    def test_healthy_index_validates(self, name):
+        validate_tag_store(_occupancy_scheme(name).tag_store)
+
+    def test_newcache_entry_points_at_wrong_slot(self):
+        store = _occupancy_scheme("newcache").tag_store
+        slots = next(iter(store._where.values()))
+        slots[0] = (slots[0] + 1) % store.capacity_lines
+        with pytest.raises(CheckViolation) as excinfo:
+            validate_tag_store(store)
+        assert _kind(excinfo) == "line-index"
+
+    def test_rpcache_entry_points_at_wrong_set(self):
+        store = _occupancy_scheme("rpcache").tag_store
+        sets = next(iter(store._where.values()))
+        sets[0] = (sets[0] + 1) % store.num_sets
+        with pytest.raises(CheckViolation) as excinfo:
+            validate_tag_store(store)
+        assert _kind(excinfo) == "line-index"
+
+    @pytest.mark.parametrize("name", ["newcache", "rpcache"])
+    def test_missing_entry(self, name):
+        store = _occupancy_scheme(name).tag_store
+        del store._where[next(iter(store._where))]
+        with pytest.raises(CheckViolation) as excinfo:
+            validate_tag_store(store)
+        assert _kind(excinfo) == "line-index"
+
+    def test_newcache_rmt_entry_points_at_wrong_slot(self):
+        store = _occupancy_scheme("newcache").tag_store
+        key = next(iter(store._mapping))
+        store._mapping[key] = (store._mapping[key] + 1) % store.capacity_lines
+        with pytest.raises(CheckViolation) as excinfo:
+            validate_tag_store(store)
+        assert _kind(excinfo) == "set-mapping"
+
+    @pytest.mark.parametrize("name", ["newcache", "rpcache"])
+    def test_occupancy_loop_catches_corruption(self, name):
+        """Checked mode samples the store inside the trial loop, so a
+        corrupted index surfaces from a real leakage run."""
+        from repro.check import checked
+        from repro.leakage.occupancy import run_occupancy_trials
+
+        scheme = _occupancy_scheme(name)
+        where = scheme.tag_store._where
+        where[next(iter(where))].append(0)
+        with checked(rate=16):
+            with pytest.raises(CheckViolation) as excinfo:
+                run_occupancy_trials(scheme, trials=5, seed=4)
+        assert _kind(excinfo) == "line-index"
+        assert excinfo.value.where == "occupancy.tag_store"

@@ -1,8 +1,12 @@
 """Estimator tests against channels with known information content."""
 
+import math
 import random
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.channel_capacity import channel_capacity_bits
 from repro.core.window import RandomFillWindow
@@ -16,6 +20,7 @@ from repro.leakage.estimators import (
     sample_window_channel,
     success_rate_curve,
 )
+from repro.util.rng import derive_seed
 
 
 def identity_joint(m=8, trials=4000, seed=1):
@@ -156,6 +161,108 @@ class TestSuccessRateCurve:
         assert n_to_success(curve, target=0.99) is None
         with pytest.raises(ValueError):
             n_to_success(curve, target=0.0)
+
+
+def reference_success_rate_curve(joint, measurement_counts, repeats, seed, smoothing):
+    """Per-draw ML scoring: one dict lookup per (observation, secret).
+
+    Scores accumulate left to right from 0, the order ``sum()`` used
+    before Python 3.12 (3.12+ ``sum()`` compensates float rounding).
+    """
+    secrets = joint.secrets
+    obs_alphabet = list(joint.observation_marginal())
+    k_obs = len(obs_alphabet) + 1
+    rows = [joint.row(secret) for secret in secrets]
+    cum_tables = []
+    for row in rows:
+        symbols = list(row)
+        cum = []
+        running = 0
+        for obs in symbols:
+            running += row[obs]
+            cum.append(running)
+        cum_tables.append((symbols, cum, running))
+    log_templates = []
+    for row in rows:
+        denom = math.log(sum(row.values()) + smoothing * k_obs)
+        log_templates.append(
+            {obs: math.log(row.get(obs, 0) + smoothing) - denom for obs in obs_alphabet})
+    points = []
+    for n in measurement_counts:
+        rng = random.Random(derive_seed(seed, "success-rate", n))
+        successes = 0
+        rank_sum = 0.0
+        for _ in range(repeats):
+            true_idx = rng.randrange(len(secrets))
+            symbols, cum, total_s = cum_tables[true_idx]
+            drawn = [symbols[bisect_right(cum, rng.randrange(total_s))] for _ in range(n)]
+            scores = []
+            for template in log_templates:
+                score = 0
+                for obs in drawn:
+                    score += template[obs]
+                scores.append(score)
+            true_score = scores[true_idx]
+            higher = sum(1 for s in scores if s > true_score)
+            ties = sum(1 for s in scores if s == true_score) - 1
+            if higher == 0 and ties == 0:
+                successes += 1
+            rank_sum += 1 + higher + ties / 2.0
+        points.append((n, successes / repeats, rank_sum / repeats))
+    return points
+
+
+@st.composite
+def joints(draw):
+    """Small joints over int or tuple (flush-reload style) observations.
+
+    ``copy`` repeats a row under another secret, so scores tie exactly.
+    ``permute`` gives another secret the same counts on permuted
+    observations: its scores equal the first secret's up to rounding,
+    so only the exact summation order decides ``>`` against ``==``.
+    """
+    if draw(st.booleans()):
+        obs = st.integers(-3, 12)
+    else:
+        obs = st.lists(st.integers(0, 4), max_size=3, unique=True).map(tuple)
+    n_secrets = draw(st.integers(1, 6))
+    rows = [draw(st.dictionaries(obs, st.integers(1, 9), min_size=1, max_size=5))
+            for _ in range(n_secrets)]
+    mode = draw(st.sampled_from(["free", "copy", "permute"]))
+    if n_secrets > 1 and mode == "copy":
+        rows[-1] = dict(rows[0])
+    elif n_secrets > 1 and mode == "permute":
+        keys = list(rows[0])
+        rows[-1] = dict(zip(keys, draw(st.permutations(list(rows[0].values())))))
+    secrets = draw(st.permutations(range(n_secrets)))
+    return JointCounts.from_nested(dict(zip(secrets, rows)))
+
+
+class TestSuccessRateCurveReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        joint=joints(),
+        counts=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+        repeats=st.integers(1, 40),
+        seed=st.integers(0, 2**32),
+        smoothing=st.sampled_from([0.5, 1.0, 0.1]),
+    )
+    def test_matches_per_draw_reference(self, joint, counts, repeats, seed, smoothing):
+        kwargs = dict(repeats=repeats, seed=seed, smoothing=smoothing)
+        assert success_rate_curve(joint, counts, **kwargs) == \
+            reference_success_rate_curve(joint, counts, **kwargs)
+
+    def test_single_secret_always_wins(self):
+        joint = JointCounts.from_nested({3: {(): 2, (1,): 5}})
+        assert success_rate_curve(joint, (1, 64), repeats=20, seed=4) == \
+            [(1, 1.0, 1.0), (64, 1.0, 1.0)]
+
+    def test_identical_templates_tie(self):
+        """Two secrets with one template: never a strict winner, and the
+        tie shares ranks 1 and 2."""
+        joint = JointCounts.from_nested({0: {7: 3, 8: 1}, 1: {7: 3, 8: 1}})
+        assert success_rate_curve(joint, (1, 16), repeats=30, seed=1) == \
+            [(1, 0.0, 1.5), (16, 0.0, 1.5)]
 
 
 class TestWindowChannelSampler:
