@@ -15,13 +15,11 @@ engine, the content-addressed result cache, and the lane kernel:
 
 * a **cold** Figure 10 sweep at ``jobs=1`` (result cache bypassed) must
   be >= 1.5x faster than the previous committed baseline,
-* the **batched** scalar sweep (``REPRO_LANES=0``: one trace decode and
-  one vectorized random-fill draw row per benchmark group, scalar flat
-  kernel per cell) must be >= 1.5x faster than the same sweep with
-  ``--no-batch``, and bit-identical to it,
-* the **lane** sweep (the default path: eligible cells of a batch
-  advance together through the lane kernel) must be >= 1.5x faster
-  than the batched scalar sweep, and bit-identical to it,
+* the **lane** sweep (the default path: one trace decode and one
+  vectorized random-fill draw row per benchmark group, eligible cells
+  of a batch advancing together through the lane kernel) must be >= 7x
+  faster than the same sweep with ``--no-batch`` (every cell on the
+  per-cell fused kernel), and bit-identical to it,
 * a **warm** identical re-run must be >= 10x faster than cold, served
   entirely from the result cache,
 * results are bit-identical cold vs. warm (cache off vs. on) and
@@ -106,10 +104,8 @@ def run():
 
     # Cold sweeps: result cache bypassed so every cell simulates.  The
     # default path batches compatible cells and advances them as lanes
-    # of the lane kernel; the batched scalar path is timed with
-    # ``REPRO_LANES=0`` and the per-cell path with batching off.
+    # of the lane kernel; the per-cell path is timed with batching off.
     cold_s, sequential = None, None
-    batched_s, batched_points = None, None
     percell_s, percell_points = None, None
     with RESULT_CACHE.disabled():
         for _ in range(3):
@@ -119,17 +115,6 @@ def run():
             if cold_s is None or elapsed < cold_s:
                 cold_s, sequential = elapsed, points
         batch_stats = last_run_stats()
-
-        os.environ["REPRO_LANES"] = "0"
-        try:
-            for _ in range(3):
-                started = time.process_time()
-                points = figure10(n_refs=20_000, seed=5, jobs=1)
-                elapsed = time.process_time() - started
-                if batched_s is None or elapsed < batched_s:
-                    batched_s, batched_points = elapsed, points
-        finally:
-            del os.environ["REPRO_LANES"]
 
         with run_context(batch=False):
             for _ in range(3):
@@ -143,8 +128,7 @@ def run():
         parallel = figure10(n_refs=20_000, seed=5, jobs=jobs)
         pool_stats = last_run_stats()
     jobs_match = _points_key(sequential) == _points_key(parallel)
-    lanes_match = _points_key(sequential) == _points_key(batched_points)
-    batch_match = _points_key(batched_points) == _points_key(percell_points)
+    lanes_match = _points_key(sequential) == _points_key(percell_points)
 
     # Warm re-run: fill a fresh result cache, then time the identical
     # sweep served entirely from it.
@@ -230,12 +214,9 @@ def run():
         "fig10_20k_speedup_vs_seed": round(SEED_FIG10_20K_S / cold_s, 2),
         "fig10_20k_speedup_vs_base": round(BASE_FIG10_20K_S / cold_s, 2),
         "fig10_lanes_s": round(cold_s, 4),
-        "fig10_batched_s": round(batched_s, 4),
         "fig10_percell_s": round(percell_s, 4),
-        "lanes_speedup_vs_batched": round(batched_s / cold_s, 2),
-        "lanes_match_batched": lanes_match,
-        "batched_speedup_vs_percell": round(percell_s / batched_s, 2),
-        "batched_matches_percell": batch_match,
+        "lanes_speedup_vs_percell": round(percell_s / cold_s, 2),
+        "lanes_match_percell": lanes_match,
         "batches": batch_stats.get("batches", 0),
         "batched_cells": batch_stats.get("batched_cells", 0),
         "decode_reuse_hits": batch_stats.get("decode_reuse_hits", 0),
@@ -271,18 +252,13 @@ def test_runner_speedups(benchmark):
     # Columnar engine: cold sweep beats the committed baseline by 1.5x.
     assert payload["fig10_20k_speedup_vs_base"] >= 1.5
 
-    # Batched kernel: bit-identical to the per-cell path and >= 1.5x
-    # faster on the cold Figure 10 sweep (shared decode + warm replay +
-    # vectorized random-fill draws per benchmark group).
-    assert payload["batched_matches_percell"]
-    assert payload["batched_speedup_vs_percell"] >= 1.5
+    # Lane kernel: the default path (shared decode + warm replay +
+    # vectorized random-fill draws per benchmark group, every eligible
+    # cell of a batch advanced through the lane kernel) is bit-identical
+    # to the per-cell path and >= 7x faster on the cold Figure 10 sweep.
+    assert payload["lanes_match_percell"]
+    assert payload["lanes_speedup_vs_percell"] >= 7
     assert payload["batches"] >= 1
-
-    # Lane kernel: the default path advances every eligible cell of a
-    # batch through the lane kernel, bit-identical to the batched
-    # scalar path and >= 1.5x faster on the cold Figure 10 sweep.
-    assert payload["lanes_match_batched"]
-    assert payload["lanes_speedup_vs_batched"] >= 1.5
     assert payload["vectorized_cells"] == payload["cells"]
     assert payload["scalar_fallback_cells"] == 0
 

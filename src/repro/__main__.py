@@ -160,13 +160,12 @@ def _run_profile_batched(specs, batch) -> bool:
     from repro.check import check_rate_from_env
     from repro.cpu.batch import lane_eligible
     from repro.runner.batch import (
-        BatchItem, plan_batches, resolve_batch, resolve_lanes,
+        DEFAULT_LANES, BatchItem, plan_batches, resolve_batch,
     )
     from repro.runner.profiler import profile_batch
 
     try:
         batching = resolve_batch(batch)
-        lane_width = resolve_lanes()
     except ValueError as error:
         sys.exit(f"error: {error}")
     if not batching or check_rate_from_env() is not None:
@@ -177,18 +176,18 @@ def _run_profile_batched(specs, batch) -> bool:
         return False
     batched_cells = sum(len(item.indices) for item in batches)
     print(f"batch plan: {len(batches)} batches covering {batched_cells} of "
-          f"{len(specs)} cells (lane width {lane_width})")
+          f"{len(specs)} cells (lane width {DEFAULT_LANES})")
     lane_batch = None
     for item in batches:
         eligible = 0
-        if item.batch.kind == "general" and lane_width >= 2:
+        if item.batch.kind == "general":
             eligible = sum(lane_eligible(spec) for spec in item.batch.cells)
         fallback = len(item.indices) - eligible
         lanes_note = (f"{eligible:3d} lane / {fallback} fallback"
                       if eligible else "scalar")
         print(f"  {item.batch.batch_id:4s} {_batch_label(item.batch):28s} "
               f"{len(item.indices):3d} cells  {lanes_note}")
-        if eligible >= 2 and lane_batch is None:
+        if eligible and lane_batch is None:
             lane_batch = item
     first = lane_batch or batches[0]
     kind = "lane batch" if first is lane_batch else "batch"
@@ -286,19 +285,6 @@ def _print_run_stats(stats: dict, jobs: int, resume: bool = False) -> None:
               f"{stats.get('violations', 0):.0f} violations")
 
 
-def _apply_lanes(lanes) -> None:
-    """Export ``--lanes`` as ``REPRO_LANES`` so workers inherit it."""
-    if lanes is None:
-        return
-    from repro.runner.batch import resolve_lanes
-
-    try:
-        resolve_lanes(lanes)
-    except ValueError as error:
-        sys.exit(f"error: --lanes: {error}")
-    os.environ["REPRO_LANES"] = str(lanes)
-
-
 def sweep(args: argparse.Namespace) -> None:
     from repro.experiments.perf_concurrent import figure8
     from repro.experiments.perf_crypto import figure6, figure7
@@ -311,7 +297,6 @@ def sweep(args: argparse.Namespace) -> None:
     from repro.runner.report import record_bench
 
     _apply_check_mode(args.check)
-    _apply_lanes(args.lanes)
     _validate_cache_env()
     if args.profile:
         grid = _profile_grid_specs(args)
@@ -525,14 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--batch", action=argparse.BooleanOptionalAction,
                     default=None,
                     help="batch compatible cells so one trace decode "
-                    "serves a whole group (default: on, or REPRO_BATCH); "
-                    "results are bit-identical either way")
-    sp.add_argument("--lanes", type=int, default=None, metavar="N",
-                    help="lane width for the batched kernel: advance up "
-                    "to N eligible cells of a group per kernel call "
-                    "(default: REPRO_LANES or 64; 0/1 keeps the scalar "
-                    "per-cell kernel); results are bit-identical for "
-                    "any width")
+                    "serves a whole group and eligible cells run as "
+                    "lanes of the lane kernel, up to 64 per call "
+                    "(default: on, or REPRO_BATCH); results are "
+                    "bit-identical either way")
     sp.add_argument("--profile", action="store_true",
                     help="run ONE representative cell (or, when the sweep "
                     "batches, its first batch) under cProfile and print "

@@ -4,29 +4,28 @@ A Figure-10-style sweep runs many cells that differ only in window,
 seed knob, or scheme while replaying the *same* trace through the same
 cache geometry.  The per-cell path re-derives the decode columns and
 re-warms the L2 for every one of them; this module computes that shared
-work once per batch group and lowers each eligible cell onto the flat
-kernel (:func:`repro.cpu.timing.run_flat_general`) or — several lanes
-at a time — onto the lane-parallel kernel
-(:func:`repro.cpu.lanes.run_lanes_general`):
+work once per batch group and lowers each eligible cell onto the
+lane-parallel kernel (:func:`repro.cpu.lanes.run_lanes_general`), one
+or many lanes per call:
 
 * :class:`GeneralGroupState` — the per-(trace, config, warm) inputs:
   decoded line/step columns of the measured slice and the warmed L2
-  contents as plain int lists (copied per cell, the copy is cheap),
+  contents as plain int lists,
 * :func:`lower_cell` — build the cell's scheme, check that it is
   exactly the stock set-associative/LRU configuration the kernels
   transcribe, and pregenerate its random-fill draw row from its own
   derived RNG stream; ineligible cells lower to ``None`` and the
   caller falls back to :func:`repro.runner.cells.run_cell`,
-* :func:`run_lowered_cell` / :func:`run_batched_cell` — one cell
-  through the scalar flat kernel,
 * :func:`run_lane_cells` — a group of lowered cells through the lane
   kernel in one shared trace pass (the lanes must agree on
   :meth:`LoweredCell.shared_key`),
+* :func:`run_lowered_cell` — one cell with no lane partner, as a
+  one-lane call,
 * :func:`lane_eligible` — the structural half of the eligibility check
   from the spec alone (no trace load), for plan displays.
 
-Results are bit-identical to the per-cell path: the kernels are exact
-transcriptions of the fused kernel plus settle, the warm replay mirrors
+Results are bit-identical to the per-cell path: the kernel is an exact
+transcription of the fused kernel plus settle, the warm replay mirrors
 ``warm_l2``, and the draw row reproduces the scalar ``draw()`` stream
 (:meth:`repro.util.rng.HardwareRng.pregenerate`).
 """
@@ -41,7 +40,7 @@ from repro.cache.l2 import L2Cache
 from repro.cache.set_associative import SetAssociativeCache
 from repro.core.policy import RandomFillPolicy
 from repro.cpu.lanes import LaneCell, masked_offsets, run_lanes_general
-from repro.cpu.timing import SimResult, run_flat_general
+from repro.cpu.timing import SimResult
 from repro.cpu.trace import Trace
 from repro.memory.dram import DramModel
 
@@ -54,8 +53,8 @@ class GeneralGroupState:
     """Shared inputs of one batch group: decode columns + warm L2 state.
 
     Built once per (trace, config, warm) group; every cell of the group
-    reads the same column lists (never mutated) and receives its own
-    copy of the warmed L2 sets (mutated by its kernel run).
+    reads the same column lists and warmed L2 sets (never mutated: the
+    lane kernel copies the L2 image per lane).
     """
 
     __slots__ = ("config", "lines", "steps", "instructions",
@@ -99,16 +98,8 @@ class GeneralGroupState:
                 cache_set.insert(0, line)
         self._warm_l2_sets = sets
 
-    def l2_sets_copy(self) -> List[List[int]]:
-        """A fresh mutable copy of the warmed L2 contents."""
-        return [list(cache_set) for cache_set in self._warm_l2_sets]
-
     def l2_sets_view(self) -> List[List[int]]:
-        """The warmed L2 contents, MRU first — read-only for callers.
-
-        The lane kernel copies per lane internally, so sharing the
-        backing lists avoids one full L2 image copy per lane.
-        """
+        """The warmed L2 contents, MRU first — read-only for callers."""
         return self._warm_l2_sets
 
 
@@ -274,38 +265,13 @@ def lane_eligible(spec) -> bool:
                   n_draws=0) is not None
 
 
-def run_lowered_cell(group: GeneralGroupState,
-                     lowered: LoweredCell) -> SimResult:
-    """Run one lowered cell through the scalar flat kernel."""
-    return run_flat_general(
-        group.lines, group.steps, group.instructions,
-        l1_num_sets=lowered.l1_num_sets, l1_assoc=lowered.l1_assoc,
-        l2_sets=group.l2_sets_copy(), l2_num_sets=group.l2_num_sets,
-        l2_assoc=group.l2_assoc, l2_hit_latency=lowered.l2_hit_latency,
-        mq_capacity=lowered.mq_capacity,
-        fill_reserve=lowered.fill_reserve,
-        fill_queue_capacity=lowered.fill_queue_capacity,
-        hit_cost=lowered.hit_cost, mlp=lowered.mlp, credit=lowered.credit,
-        policy_kind=lowered.policy_kind, rf_a=lowered.rf_a,
-        rf_mask=lowered.rf_mask, draws=lowered.draws, dram=lowered.dram,
-    )
-
-
-def run_batched_cell(spec, group: GeneralGroupState) -> Optional[SimResult]:
-    """Run one cell through the flat kernel, or ``None`` if ineligible."""
-    lowered = lower_cell(spec, group)
-    if lowered is None:
-        return None
-    return run_lowered_cell(group, lowered)
-
-
 def run_lane_cells(group: GeneralGroupState,
                    lowered: Sequence[LoweredCell]) -> List[SimResult]:
     """Run a group of lowered cells as lanes of one shared trace pass.
 
     Every member must report the same :meth:`LoweredCell.shared_key`
     (the runner groups by it before calling).  Returns one result per
-    cell, in order, bit-identical to :func:`run_lowered_cell` per cell.
+    cell, in order, bit-identical to running each cell alone.
     """
     if not lowered:
         return []
@@ -329,3 +295,9 @@ def run_lane_cells(group: GeneralGroupState,
         hit_cost=first.hit_cost, mlp=first.mlp, credit=first.credit,
         cells=cells, dram=first.dram,
     )
+
+
+def run_lowered_cell(group: GeneralGroupState,
+                     lowered: LoweredCell) -> SimResult:
+    """Run one lowered cell with no lane partner: a one-lane call."""
+    return run_lane_cells(group, [lowered])[0]

@@ -1,11 +1,10 @@
-"""Lane-parallel kernel: one call advances a whole batch group.
+"""Lane-parallel kernel: the one kernel every lowered cell runs through.
 
-The PR 6 batched path amortizes trace decode and RNG pregeneration
-across a group, but still runs the flat state machine
-(:func:`repro.cpu.timing.run_flat_general`) once per member cell — an
-N-cell group costs N Python interpreter passes over the same columns.
-This module runs all eligible cells of a group as independent *lanes*
-over the shared columns in a single kernel call.
+A batch group's cells replay the same decoded trace through the same
+cache geometry and differ only in their policy split (demand fetch or
+a random-fill window with its own draw row).  This module runs all of
+them as independent *lanes* over the shared columns in a single kernel
+call; a lone lowered cell is simply a one-lane call.
 
 numpy prepares the shared column work — the decoded trace is reused
 as-is, the per-record step column is shared, and each lane's
@@ -14,11 +13,12 @@ vectorized pass (``(draw & mask) - a``, Table II bounds; see
 :func:`masked_offsets`).  The per-record state machine itself runs in
 a small C kernel (``lanes_kernel.c``), compiled once with the host
 toolchain and loaded through :mod:`ctypes`; results are
-**bit-identical** to the flat kernel because the C code is a
-branch-for-branch transcription (drain order, fill-queue drop/merge
-rules, MSHR-full stall, MLP charge table with its prune threshold, and
-the settle loop) and every quantity fits int64 with all divisions on
-non-negative operands.
+**bit-identical** to the per-cell fused kernel
+(:meth:`repro.cpu.timing.TimingModel._run_columnar_fused` plus settle)
+because the C code is a branch-for-branch transcription (drain order,
+fill-queue drop/merge rules, MSHR-full stall, MLP charge table with
+its prune threshold, and the settle loop) and every quantity fits
+int64 with all divisions on non-negative operands.
 
 Why C and not numpy record-steps: this kernel went through three
 measured all-Python designs first — the issue-sketched
@@ -26,7 +26,7 @@ measured all-Python designs first — the issue-sketched
 hit-scan reductions ran ~3x *slower* than the scalar kernel (small-
 array numpy op constants dominate at fig10 lane widths), a lockstep
 presence-bitmask design (one dict lookup classifying all lanes per
-record) reached only ~0.55x (per-lane indexing replaces the flat
+record) reached only ~0.55x (per-lane indexing replaces a scalar
 kernel's bare locals on every event), and a fully tuned per-lane
 rewrite (heap MSHR, O(1) ordered-dict sets, precomputed offsets,
 steady-merge fast path) topped out at ~1.06x — fig10 traffic is
@@ -56,14 +56,14 @@ from repro.cpu.timing import (
     prune_charged,
 )
 
-#: mirrors :data:`repro.cpu.timing._NEVER` (MissQueue.NEVER)
+#: mirrors :data:`repro.cache.mshr.MissQueue.NEVER`
 _NEVER = 1 << 62
 
-#: flat-kernel request types (1 mirrors ``NOFILL``)
+#: kernel request types (1 mirrors ``NOFILL``)
 _RT_NORMAL, _RT_NOFILL, _RT_RANDOM_FILL = 0, 1, 2
 
-#: diagnostics of the most recent kernel run, read by the profiler
-#: display; overwritten per call
+#: diagnostics of the most recent kernel run, overwritten per call;
+#: the batch runner reads the backend right after each call
 LAST_STATS: dict = {}
 
 #: the native kernel rejects MSHR capacities above its drain scratch
@@ -95,7 +95,7 @@ def masked_offsets(draws: Sequence[int], rf_a: int,
                    rf_mask: int) -> np.ndarray:
     """One lane's fill-offset row: ``(draw & rf_mask) - rf_a`` vectorized.
 
-    Bit-identical to the flat kernel's per-miss arithmetic: the raw
+    Bit-identical to the fused kernel's per-miss arithmetic: the raw
     draws are below ``2**width <= 2**32`` so int64 masking is exact.
     """
     return (np.asarray(draws, dtype=np.int64) & rf_mask) - rf_a
@@ -224,13 +224,14 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
                      policy_kind, offsets, dram) -> SimResult:
     """One lane's trace pass — the tuned Python fallback.
 
-    A transcription of :func:`run_flat_general` with faster but
-    order-identical machinery: cache sets are :class:`OrderedDict`
-    (O(1) membership, ``move_to_end`` refresh, first key = LRU victim —
-    the flat MRU-first lists reversed), the MSHR adds a completion-
-    ordered heap whose ``(completion, seq)`` order reproduces the flat
-    kernel's stable completion sort, the step column arrives fused with
-    the per-record ``hit_cost`` (every flat branch adds exactly one),
+    The C kernel's state machine (itself a transcription of the fused
+    kernel plus settle) with order-identical Python machinery: cache
+    sets are :class:`OrderedDict` (O(1) membership, ``move_to_end``
+    refresh, first key = LRU victim — the C kernel's MRU-first ways
+    reversed), the MSHR adds a completion-ordered heap whose
+    ``(completion, seq)`` order reproduces the stable completion sort
+    on insertion order, the step column arrives fused with the
+    per-record ``hit_cost`` (every record's branch adds exactly one),
     fill offsets are premasked, and a ``steady`` set marks lines whose
     charge already equals their in-flight completion so a repeat merge
     retires in one membership test (after the drain check, surviving
@@ -349,7 +350,7 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
     charged: dict = {}
     charged_get = charged.get
     for line, sp in zip(lines_l, steps_plus):
-        # ``sp`` fuses step + hit_cost: the flat-clock "now" at branch
+        # ``sp`` fuses step + hit_cost: the unfused "now" at branch
         # entry is ``now - hit_cost``.
         now += sp
         if now >= ncx:
@@ -363,8 +364,8 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
                 issue_fills(now - hit_cost)
             continue
         if line in steady:
-            # charged[line] == mq[line][0] > now: the flat merge path
-            # adds exactly hit_cost, already fused into the step.
+            # charged[line] == mq[line][0] > now: the merge path adds
+            # exactly hit_cost, already fused into the step.
             continue
         nb = now - hit_cost
         in_flight = mq_get(line)
@@ -473,7 +474,7 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
                 if charged_get(k) != mq[k][0]:
                     steady_discard(k)
 
-    # End-of-run settle (flat kernel's loop, verbatim): issued fills
+    # End-of-run settle (the C kernel's loop, verbatim): issued fills
     # and their L2/DRAM traffic count toward this run's totals.
     while fill_queue or mq:
         progressed = False
@@ -509,13 +510,14 @@ def run_lanes_general(lines_l, steps_l, instructions,
                       backend: Optional[str] = None) -> List[SimResult]:
     """Advance every lane of a batch group over the shared columns.
 
-    Shared arguments mirror :func:`run_flat_general`; ``l2_sets`` is
+    Shared arguments are the fields of a
+    :class:`~repro.cpu.batch.LoweredCell`; ``l2_sets`` is
     the group's warmed L2 image (MRU-first int lists, *not* mutated —
     each lane works on its own copy) and ``cells`` holds one
     :class:`LaneCell` per lane.  ``backend`` forces ``"native"`` or
     ``"python"``; the default picks the compiled kernel when available.
     Returns one :class:`SimResult` per lane, bit-identical to running
-    the flat kernel per cell.
+    each cell alone through :func:`repro.runner.cells.run_cell`.
     """
     if backend not in (None, "native", "python"):
         raise ValueError(

@@ -1,12 +1,13 @@
-/* Lane-parallel group kernel: the flat state machine of
- * repro/cpu/timing.py:run_flat_general, transcribed to C and run once
- * per lane over the shared decoded trace columns.
+/* Lane-parallel group kernel: the stock SA/LRU timing state machine of
+ * repro/cpu/timing.py (the fused kernel plus the controller's settle),
+ * flattened to int arrays and run once per lane over the shared
+ * decoded trace columns.
  *
  * The transcription is branch-for-branch: the MissQueue drain order
  * (stable completion sort on insertion order), the fill-queue
  * drop/merge rules, the MSHR-full stall, the MLP charge table with its
  * prune threshold, and the end-of-run settle loop all mirror the
- * Python kernel exactly, so results are bit-identical per lane.  Every
+ * Python model exactly, so results are bit-identical per lane.  Every
  * quantity fits int64 (lines < 2^32, cycles grow by at most a few
  * hundred per record) and every division runs on non-negative
  * operands, so C arithmetic matches Python's exactly.

@@ -15,9 +15,9 @@ This package turns a figure sweep into an explicit list of picklable
 * :mod:`repro.runner.batch` — batch planning and execution: pending
   cells sharing a ``batch_group_key()`` are grouped so one trace
   decode serves the whole group (``--batch/--no-batch``,
-  ``REPRO_BATCH``), and eligible general-perf cells advance together
-  as lanes of one kernel call (``--lanes``, ``REPRO_LANES``); a
-  failed batch splits back to supervised per-cell retries,
+  ``REPRO_BATCH``), and eligible general-perf cells run on the lane
+  kernel, up to 64 as lanes of one call; a failed batch splits back
+  to supervised per-cell retries,
 * :mod:`repro.runner.telemetry` — JSONL event log of a run (cell
   start/finish/retry/timeout, pool restarts) and the live progress
   line behind ``--telemetry`` / the CLI,
@@ -44,7 +44,6 @@ from repro.runner.batch import (
     CellBatch,
     plan_batches,
     resolve_batch,
-    resolve_lanes,
     run_batch,
 )
 from repro.runner.cells import CellSpec, run_cell
@@ -89,7 +88,6 @@ __all__ = [
     "resolve_cell_retries",
     "resolve_cell_timeout",
     "resolve_jobs",
-    "resolve_lanes",
     "run_batch",
     "run_cell",
     "run_cells",

@@ -13,13 +13,13 @@ still lands in the result cache one by one.
 Batching is on by default and controlled by ``--batch/--no-batch`` or
 ``REPRO_BATCH`` (:func:`resolve_batch`); checked mode (``REPRO_CHECK``)
 disables planning entirely so every cell takes the per-cell oracle
-path.  Within a ``"general"`` batch, eligible cells additionally
-advance together as *lanes* of one kernel call
-(:mod:`repro.cpu.lanes`), chunked at the lane width (``--lanes`` /
-``REPRO_LANES``, :func:`resolve_lanes`; below 2 every cell keeps the
-scalar flat kernel).  Results are bit-identical with batching and
-lanes on or off, for any jobs count or lane width, because both
-kernels are exact and chunk boundaries carry no state between cells.
+path.  Within a ``"general"`` batch, every eligible cell runs on the
+lane kernel (:mod:`repro.cpu.lanes`): cells sharing kernel parameters
+advance together as lanes of one call, chunked at
+:data:`DEFAULT_LANES`, and a cell with no lane partner is a one-lane
+call.  Results are bit-identical with batching on or off, for any jobs
+count, because the kernel is exact and chunk boundaries carry no state
+between cells.
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ MIN_BATCH = 2
 #: and keeps per-batch timeouts meaningful
 MAX_BATCH = 32
 
-#: default lane width: how many cells one lane-kernel call advances.
-#: The kernel loops lanes in C, so wider mostly amortizes the shared
-#: column setup; the cap bounds a split's blast radius like MAX_BATCH
+#: lane width: how many cells one lane-kernel call advances, and the
+#: size cap of a ``"general"`` batch.  The kernel loops lanes in C, so
+#: wider mostly amortizes the shared column setup; the cap bounds a
+#: split's blast radius like MAX_BATCH
 DEFAULT_LANES = 64
 
 #: ``REPRO_BATCH`` values that disable / enable batching
@@ -64,32 +65,12 @@ def resolve_batch(batch: Optional[bool] = None) -> bool:
     raise ValueError(f"REPRO_BATCH must be a boolean flag (1/0/on/off/yes/no), got {env!r}")
 
 
-def resolve_lanes(lanes: Optional[int] = None) -> int:
-    """Lane width: argument > ``REPRO_LANES`` > :data:`DEFAULT_LANES`.
-
-    A width below 2 (``REPRO_LANES=0`` or ``1``) disables lane
-    execution — batches still amortize decode but every member runs
-    the scalar flat kernel, exactly the PR 6 path.
-    """
-    if lanes is None:
-        env = os.environ.get("REPRO_LANES", "").strip()
-        if not env:
-            return DEFAULT_LANES
-        try:
-            lanes = int(env)
-        except ValueError:
-            raise ValueError(f"REPRO_LANES must be an integer, got {env!r}")
-    if lanes < 0:
-        raise ValueError(f"lane width must be >= 0, got {lanes}")
-    return lanes
-
-
 class CellBatch:
     """A picklable group of compatible cell specs, dispatched as one.
 
     ``kind`` is the first element of the members' shared group key:
     ``"general"`` batches share trace decode + warm L2 state through
-    the flat kernel; any other kind only amortizes dispatch.
+    the lane kernel; any other kind only amortizes dispatch.
     """
 
     __slots__ = ("batch_id", "kind", "cells")
@@ -119,9 +100,7 @@ class BatchItem:
         return f"BatchItem({self.batch.batch_id!r}, indices={self.indices})"
 
 
-def plan_batches(
-    specs: Sequence, pending: Sequence[int], jobs: int = 1, lanes: Optional[int] = None
-) -> List:
+def plan_batches(specs: Sequence, pending: Sequence[int], jobs: int = 1) -> List:
     """Group pending cell indices into a work list.
 
     Returns a list of plain ``int`` indices (unbatched cells) and
@@ -133,7 +112,7 @@ def plan_batches(
     planning and never reach here.
 
     ``"general"`` groups chunk at the lane width
-    (:func:`resolve_lanes`) so one batch is one lane-kernel call; other
+    (:data:`DEFAULT_LANES`) so one batch is one lane-kernel call; other
     kinds keep the :data:`MAX_BATCH` cap.  With ``jobs`` workers the
     batch size is additionally capped at ``ceil(pending / jobs)`` so a
     small grid still spreads across the pool; at high jobs counts this
@@ -154,7 +133,6 @@ def plan_batches(
         else:
             bucket.append(index)
 
-    lane_width = resolve_lanes(lanes)
     jobs_cap = None
     if jobs > 1:
         jobs_cap = max(1, -(-len(pending) // jobs))
@@ -163,9 +141,7 @@ def plan_batches(
     sequence = 0
     for key, indices in groups.items():
         kind = str(key[0]) if isinstance(key, tuple) and key else str(key)
-        max_batch = MAX_BATCH
-        if kind == "general" and lane_width >= MIN_BATCH:
-            max_batch = lane_width
+        max_batch = DEFAULT_LANES if kind == "general" else MAX_BATCH
         if jobs_cap is not None:
             max_batch = min(max_batch, jobs_cap)
         for start in range(0, len(indices), max_batch):
@@ -186,21 +162,23 @@ def _first_index(item) -> int:
     return item.indices[0] if type(item) is BatchItem else item
 
 
-def run_batch(batch: CellBatch, lanes: Optional[int] = None):
+def run_batch(batch: CellBatch):
     """Worker entry point: run every cell of a batch in-process.
 
     Returns ``(results, metas, batch_meta)`` with one result + meta per
     cell in batch order.  ``"general"`` batches build the shared group
-    state once, then advance the eligible cells as lanes of the lane
-    kernel (:func:`repro.cpu.batch.run_lane_cells`), grouped by their
-    shared kernel parameters and chunked at the lane width
-    (:func:`resolve_lanes`; below 2 every eligible cell takes the
-    scalar flat kernel instead — the PR 6 path).  Cells the kernels do
-    not cover — and every cell when ``REPRO_CHECK`` is active, as a
-    belt-and-braces guard (the parent already skips planning under
-    checked mode) — fall back to :func:`run_cell` individually inside
-    the batch.  Any exception propagates whole: the supervisor splits
-    the batch and retries the cells one by one.
+    state once, then run the eligible cells on the lane kernel, grouped
+    by their shared kernel parameters and chunked at
+    :data:`DEFAULT_LANES`: a chunk of several cells is one
+    :func:`repro.cpu.batch.run_lane_cells` call, a lone cell one
+    :func:`repro.cpu.batch.run_lowered_cell` call.  ``batch_meta``
+    names the backend the calls used (``kernel_backend``: ``native``
+    or ``python``).  Cells the kernel does not cover — and every cell
+    when ``REPRO_CHECK`` is active, as a belt-and-braces guard (the
+    parent already skips planning under checked mode) — fall back to
+    :func:`run_cell` individually inside the batch.  Any exception
+    propagates whole: the supervisor splits the batch and retries the
+    cells one by one.
 
     A lane call's wall time is attributed evenly across its member
     cells' ``worker_duration_s`` so per-cell latency stays meaningful.
@@ -214,36 +192,37 @@ def run_batch(batch: CellBatch, lanes: Optional[int] = None):
         shared = None
         lowered = [None] * len(batch.cells)
         if batch.kind == "general" and not checked:
-            from repro.cpu.batch import group_state_for, lower_cell
-            shared = group_state_for(batch.cells[0])
-            lowered = [lower_cell(spec, shared) for spec in batch.cells]
-        lane_width = resolve_lanes(lanes)
+            from repro.cpu import batch as cpu_batch
+            from repro.cpu.lanes import LAST_STATS
+            shared = cpu_batch.group_state_for(batch.cells[0])
+            lowered = [cpu_batch.lower_cell(spec, shared) for spec in batch.cells]
 
         # Lane plan: eligible cells sharing identical kernel parameters
         # advance together, chunked at the lane width.
         lane_chunks: List[List[int]] = []
-        if shared is not None and lane_width >= MIN_BATCH:
+        if shared is not None:
             by_params: "Dict[object, List[int]]" = {}
             for i, low in enumerate(lowered):
                 if low is not None:
                     by_params.setdefault(low.shared_key(), []).append(i)
             for indices in by_params.values():
-                for start in range(0, len(indices), lane_width):
-                    chunk = indices[start : start + lane_width]
-                    if len(chunk) >= MIN_BATCH:
-                        lane_chunks.append(chunk)
+                for start in range(0, len(indices), DEFAULT_LANES):
+                    lane_chunks.append(indices[start : start + DEFAULT_LANES])
 
         results: List = [None] * len(batch.cells)
         metas: List = [None] * len(batch.cells)
         checks_before = check_totals()["checks_run"]
 
         vectorized = 0
-        laned = set()
+        backends = set()
         for chunk in lane_chunks:
-            from repro.cpu.batch import run_lane_cells
             started = time.perf_counter()
-            lane_results = run_lane_cells(shared, [lowered[i] for i in chunk])
+            if len(chunk) == 1:
+                lane_results = [cpu_batch.run_lowered_cell(shared, lowered[chunk[0]])]
+            else:
+                lane_results = cpu_batch.run_lane_cells(shared, [lowered[i] for i in chunk])
             share = (time.perf_counter() - started) / len(chunk)
+            backends.add(LAST_STATS["backend"])
             for i, result in zip(chunk, lane_results):
                 meta = worker_meta(share)
                 meta["batch_amortized_decode"] = True
@@ -251,30 +230,23 @@ def run_batch(batch: CellBatch, lanes: Optional[int] = None):
                 results[i] = result
                 metas[i] = meta
             vectorized += len(chunk)
-            laned.update(chunk)
 
-        kernel_cells = vectorized
         for i, spec in enumerate(batch.cells):
-            if i in laned:
+            if lowered[i] is not None:
                 continue
             started = time.perf_counter()
-            result = None
-            if lowered[i] is not None:
-                from repro.cpu.batch import run_lowered_cell
-                result = run_lowered_cell(shared, lowered[i])
-            amortized = result is not None
-            if result is None:
-                result = run_cell(spec)
-            kernel_cells += amortized
+            result = run_cell(spec)
             meta = worker_meta(time.perf_counter() - started)
-            meta["batch_amortized_decode"] = amortized
+            meta["batch_amortized_decode"] = False
             results[i] = result
             metas[i] = meta
-        batch_meta = {"decode_reuses": max(0, kernel_cells - 1)}
+        batch_meta = {"decode_reuses": max(0, vectorized - 1)}
         if shared is not None:
-            batch_meta["lane_width"] = lane_width
+            batch_meta["lane_width"] = DEFAULT_LANES
             batch_meta["vectorized_cells"] = vectorized
             batch_meta["scalar_fallback_cells"] = len(batch.cells) - vectorized
+            if backends:
+                batch_meta["kernel_backend"] = "/".join(sorted(backends))
         checks_run = check_totals()["checks_run"] - checks_before
         if checks_run:
             batch_meta["checks_run"] = checks_run

@@ -24,7 +24,7 @@ on or off and for any job count.
 
 Pending cells that share a ``batch_group_key()`` are additionally
 planned into **batches** (:mod:`repro.runner.batch`) — groups that
-share one trace decode and warm L2 replay through the flat kernel and
+share one trace decode and warm L2 replay through the lane kernel and
 are dispatched to a worker as one unit.  A failed, hung, or crashed
 batch is split and its cells retried individually; ``--no-batch`` /
 ``REPRO_BATCH=0`` disables planning, and ``REPRO_CHECK`` always forces
@@ -301,6 +301,8 @@ class _Supervisor:
             event["lane_width"] = batch_meta["lane_width"]
             event["vectorized_cells"] = batch_meta.get("vectorized_cells", 0)
             event["scalar_fallback_cells"] = batch_meta.get("scalar_fallback_cells", 0)
+            if "kernel_backend" in batch_meta:
+                event["kernel_backend"] = batch_meta["kernel_backend"]
             self.counters["vectorized_cells"] += event["vectorized_cells"]
             self.counters["scalar_fallback_cells"] += event["scalar_fallback_cells"]
             self.counters["lane_width"] = max(

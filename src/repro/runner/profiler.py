@@ -9,7 +9,7 @@ hotspots instead of running the sweep.
 The cell executes inline (no worker pool, result cache bypassed) so the
 profile shows simulation cost, not IPC overhead or a cache hit.  When
 the sweep would run batched, the CLI profiles the first *batch* instead
-(:func:`profile_batch`) so the report reflects the shared-decode flat
+(:func:`profile_batch`) so the report reflects the shared-decode lane
 kernel the real run uses.
 """
 
@@ -57,7 +57,6 @@ def profile_batch(batch, top: int = DEFAULT_TOP, stream: Optional[io.TextIOBase]
     lane-backed batch the report is prefixed with the lane summary
     (width, vectorized vs scalar-fallback cells, kernel backend).
     """
-    from repro.cpu import lanes
     from repro.runner.batch import run_batch
 
     profiler = cProfile.Profile()
@@ -68,12 +67,11 @@ def profile_batch(batch, top: int = DEFAULT_TOP, stream: Optional[io.TextIOBase]
         profiler.disable()
     buffer = io.StringIO()
     if batch_meta.get("vectorized_cells"):
-        backend = lanes.LAST_STATS.get("backend", "unknown")
         buffer.write(
             f"lane kernel: width {batch_meta['lane_width']}, "
             f"{batch_meta['vectorized_cells']} vectorized / "
             f"{batch_meta['scalar_fallback_cells']} scalar-fallback "
-            f"cells, backend {backend}\n"
+            f"cells, backend {batch_meta['kernel_backend']}\n"
         )
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats("cumulative").print_stats(top)

@@ -14,7 +14,7 @@ vocabulary:
 * ``cell_finish``  — a cell completed: wall seconds, worker pid,
   worker max-RSS in KB; cells that ran inside a batch additionally
   carry ``batch_id``, ``batch_size`` and ``batch_amortized_decode``
-  (whether the cell went through the shared-decode flat kernel rather
+  (whether the cell went through the shared-decode lane kernel rather
   than the per-cell fallback inside its batch);
 * ``cell_retry``   — an attempt raised and the cell was requeued;
 * ``cell_timeout`` — an attempt exceeded ``REPRO_CELL_TIMEOUT``;
@@ -23,9 +23,10 @@ vocabulary:
 * ``batch_finish`` — every cell of a batch completed: batch id, size,
   ``decode_reuses`` (cells beyond the first that shared the group's
   trace decode); lane-planned batches additionally carry
-  ``lane_width`` (resolved width), ``vectorized_cells`` (members
-  advanced by the lane kernel) and ``scalar_fallback_cells`` (members
-  that kept the scalar per-cell path);
+  ``lane_width`` (the chunk width), ``vectorized_cells`` (members
+  advanced by the lane kernel), ``scalar_fallback_cells`` (members
+  that kept the scalar per-cell path) and, when any member ran on the
+  lane kernel, ``kernel_backend`` (``native`` or ``python``);
 * ``batch_split``  — a batch failed (worker exception or lost pool)
   and its member cells were requeued individually, with the reason and
   the error repr; the split itself charges no per-cell attempts — the

@@ -353,7 +353,7 @@ class TestBitIdentity:
         assert batched == percell
 
     def test_run_batch_mixed_eligibility(self):
-        # One group, four cells: two take the flat kernel, the
+        # One group, four cells: two run on the lane kernel, the
         # non-power-of-two window and the policy scheme fall back to
         # run_cell *inside* the batch — results identical either way.
         specs = [

@@ -1,10 +1,10 @@
-"""Lane execution through the runner: knobs, planner, telemetry, faults.
+"""Lane execution through the runner: planner, telemetry, faults.
 
-Lane execution must be invisible except in speed: grids run with any
-lane width (including 0: the scalar PR 6 path) produce identical
-results, checked mode bypasses lane planning entirely, and a lane
-batch that hangs splits back into the ordinary per-cell retry
-machinery exactly like any other batch.
+Lane execution must be invisible except in speed: grids run at any
+chunk width, and a lone eligible cell run as a one-lane call, produce
+the per-cell results; checked mode bypasses lane planning entirely;
+and a lane batch that hangs splits back into the ordinary per-cell
+retry machinery exactly like any other batch.
 """
 
 import os
@@ -12,17 +12,19 @@ import time
 
 import pytest
 
+from repro.cpu.lanes import native_available
+from repro.runner import batch as batch_mod
 from repro.runner.batch import (
     DEFAULT_LANES,
     MAX_BATCH,
     BatchItem,
     CellBatch,
     plan_batches,
-    resolve_lanes,
     run_batch,
 )
 from repro.runner.cells import CellSpec, run_cell
 from repro.runner.pool import last_run_stats, run_cells
+from repro.runner.profiler import profile_batch
 from repro.runner.result_cache import ResultCache
 from repro.runner.telemetry import read_events
 
@@ -33,6 +35,22 @@ def _general_specs(n=4, benchmark="astar", n_refs=1500, seed=0):
                      window=windows[i % len(windows)], n_refs=n_refs,
                      seed=seed)
             for i in range(n)]
+
+
+def _fallback_specs():
+    """Two astar cells the lane kernel does not cover: a non-power-of-two
+    window and a prefetcher scheme, both in the ``_general_specs`` group."""
+    return [
+        CellSpec(kind="general", benchmark="astar", window=(2, 2),
+                 n_refs=1500, seed=0),
+        CellSpec(kind="general", benchmark="astar",
+                 scheme="tagged_prefetch", window=(0, 0),
+                 n_refs=1500, seed=0),
+    ]
+
+
+#: the backend a lane call picks on this host
+_BACKEND = "native" if native_available() else "python"
 
 
 class HangingLaneMember:
@@ -94,54 +112,20 @@ def state_dir(tmp_path):
     return str(d)
 
 
-class TestResolveLanes:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LANES", raising=False)
-        assert resolve_lanes() == DEFAULT_LANES
-
-    def test_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LANES", "8")
-        assert resolve_lanes() == 8
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LANES", "8")
-        assert resolve_lanes(3) == 3
-
-    def test_zero_and_one_disable(self, monkeypatch):
-        for value in ("0", "1"):
-            monkeypatch.setenv("REPRO_LANES", value)
-            assert resolve_lanes() < 2
-
-    def test_garbage_env_raises_naming_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LANES", "wide")
-        with pytest.raises(ValueError, match="REPRO_LANES"):
-            resolve_lanes()
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="lane width"):
-            resolve_lanes(-1)
-
-
 class TestLanePlanner:
-    def test_general_groups_chunk_at_lane_width(self):
+    def test_general_groups_chunk_at_lane_width(self, monkeypatch):
+        monkeypatch.setattr(batch_mod, "DEFAULT_LANES", 3)
         specs = _general_specs(n=7)
-        items = plan_batches(specs, range(len(specs)), lanes=3)
+        items = plan_batches(specs, range(len(specs)))
         sizes = [len(i.indices) for i in items if isinstance(i, BatchItem)]
         assert sizes == [3, 3]          # 7 cells -> 3 + 3 + 1 unbatched
         assert items[-1] == 6
 
     def test_width_can_exceed_max_batch(self):
-        specs = _general_specs(n=MAX_BATCH + 8)
-        items = plan_batches(specs, range(len(specs)),
-                             lanes=MAX_BATCH + 8)
-        (item,) = items
-        assert len(item.indices) == MAX_BATCH + 8
-
-    def test_disabled_lanes_keep_scalar_cap(self):
-        specs = _general_specs(n=MAX_BATCH + 8)
-        items = plan_batches(specs, range(len(specs)), lanes=0)
-        sizes = [len(i.indices) for i in items if isinstance(i, BatchItem)]
-        assert sizes == [MAX_BATCH, 8]
+        assert DEFAULT_LANES > MAX_BATCH
+        specs = _general_specs(n=DEFAULT_LANES)
+        (item,) = plan_batches(specs, range(len(specs)))
+        assert len(item.indices) == DEFAULT_LANES
 
     def test_non_general_kinds_keep_scalar_cap(self):
         class SquareSpec:
@@ -155,52 +139,72 @@ class TestLanePlanner:
                 return self.value ** 2
 
         specs = [SquareSpec(i) for i in range(MAX_BATCH + 4)]
-        items = plan_batches(specs, range(len(specs)), lanes=256)
+        items = plan_batches(specs, range(len(specs)))
         sizes = [len(i.indices) for i in items if isinstance(i, BatchItem)]
         assert sizes == [MAX_BATCH, 4]
 
 
 class TestLaneRuns:
     def test_widths_are_bit_identical(self, nocache, monkeypatch):
+        # Chunk boundaries carry no state: every width reproduces the
+        # per-cell path (batching off) bit for bit.
         specs = _general_specs(n=6)
-        runs = {}
-        for width in (0, 2, 3, 64):
-            monkeypatch.setenv("REPRO_LANES", str(width))
-            runs[width] = run_cells(specs, jobs=1, result_cache=nocache)
+        percell = run_cells(specs, jobs=1, result_cache=nocache,
+                            batch=False)
+        assert last_run_stats()["vectorized_cells"] == 0
+        for width in (2, 3, 64):
+            monkeypatch.setattr(batch_mod, "DEFAULT_LANES", width)
+            assert run_cells(specs, jobs=1, result_cache=nocache) == percell
             stats = last_run_stats()
-            if width >= 2:
-                assert stats["vectorized_cells"] == 6
-                assert stats["lane_width"] == width
-            else:
-                assert stats["vectorized_cells"] == 0
-        assert all(r == runs[0] for r in runs.values())
+            assert stats["vectorized_cells"] == 6
+            assert stats["lane_width"] == width
 
-    def test_batch_finish_carries_lane_fields(self, nocache, tmp_path,
-                                              monkeypatch):
-        monkeypatch.setenv("REPRO_LANES", "64")
+    def test_batch_finish_carries_lane_fields(self, nocache, tmp_path):
         log = str(tmp_path / "telemetry.jsonl")
         run_cells(_general_specs(n=4), jobs=1, result_cache=nocache,
                   telemetry=log)
         (finish,) = [e for e in read_events(log)
                      if e["event"] == "batch_finish"]
-        assert finish["lane_width"] == 64
+        assert finish["lane_width"] == DEFAULT_LANES
         assert finish["vectorized_cells"] == 4
         assert finish["scalar_fallback_cells"] == 0
+        assert finish["kernel_backend"] == _BACKEND
+
+    def test_lone_eligible_cell_runs_on_lane_kernel(self, nocache,
+                                                    tmp_path):
+        # One lowerable cell in a batch of fallbacks has no lane
+        # partner: it runs as a one-lane kernel call, and its result
+        # is the per-cell one.
+        specs = _general_specs(n=1) + _fallback_specs()
+        batch = CellBatch("b0", "general", tuple(specs))
+        results, metas, batch_meta = run_batch(batch)
+        assert batch_meta["vectorized_cells"] == 1
+        assert batch_meta["kernel_backend"] == _BACKEND
+        assert [m.get("lane_width") for m in metas] == [1, None, None]
+        assert results == [run_cell(spec) for spec in specs]
+        log = str(tmp_path / "telemetry.jsonl")
+        assert run_cells(specs, jobs=1, result_cache=nocache,
+                         telemetry=log) == results
+        (finish,) = [e for e in read_events(log)
+                     if e["event"] == "batch_finish"]
+        assert finish["kernel_backend"] == _BACKEND
+        assert finish["vectorized_cells"] == 1
+
+    def test_profile_batch_names_backend(self):
+        batch = CellBatch("b0", "general", tuple(_general_specs(n=2)))
+        _results, report = profile_batch(batch)
+        assert report.startswith(
+            f"lane kernel: width {DEFAULT_LANES}, 2 vectorized / 0 "
+            f"scalar-fallback cells, backend {_BACKEND}\n")
 
     def test_mixed_eligibility_batch(self, monkeypatch):
         # (2, 2) is not a power of two and the policy scheme never
         # lowers: both fall back to the scalar path inside the lane
         # batch, and every result matches its per-cell run.
-        specs = _general_specs(n=3) + [
-            CellSpec(kind="general", benchmark="astar", window=(2, 2),
-                     n_refs=1500, seed=0),
-            CellSpec(kind="general", benchmark="astar",
-                     scheme="tagged_prefetch", window=(0, 0),
-                     n_refs=1500, seed=0),
-        ]
+        specs = _general_specs(n=3) + _fallback_specs()
         batch = CellBatch("b0", "general", tuple(specs))
-        results, metas, batch_meta = run_batch(batch, lanes=64)
-        assert batch_meta["lane_width"] == 64
+        results, metas, batch_meta = run_batch(batch)
+        assert batch_meta["lane_width"] == DEFAULT_LANES
         assert batch_meta["vectorized_cells"] == 3
         assert batch_meta["scalar_fallback_cells"] == 2
         # Per-cell meta records the actual chunk size for laned members
@@ -224,7 +228,7 @@ class TestLaneRuns:
         # (the parent normally never plans one) runs per-cell.
         monkeypatch.setenv("REPRO_CHECK", "256")
         batch = CellBatch("b0", "general", tuple(_general_specs(n=2)))
-        _results, metas, batch_meta = run_batch(batch, lanes=64)
+        _results, metas, batch_meta = run_batch(batch)
         assert "lane_width" not in batch_meta
         assert all("lane_width" not in m for m in metas)
         assert batch_meta.get("checks_run", 0) > 0
