@@ -472,7 +472,9 @@ def cache_cmd(args: argparse.Namespace) -> None:
     print(f"results counters (this process): hits={counters['hits']} "
           f"misses={counters['misses']} "
           f"corrupt_evicted={counters['corrupt_evicted']} "
-          f"store_failures={counters['store_failures']}")
+          f"store_failures={counters['store_failures']} "
+          f"evictions={counters['evictions']} "
+          f"rescans={counters['rescans']}")
 
 
 def build_parser() -> argparse.ArgumentParser:

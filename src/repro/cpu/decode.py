@@ -39,14 +39,19 @@ class TraceDecode:
       prefix used to pre-warm the L2.
     """
 
-    __slots__ = ("trace", "line_shift", "_lines", "_lines_list",
-                 "_gaps_list", "_writes_list", "_issue_steps",
+    __slots__ = ("addr", "gap", "write", "line_shift", "_lines",
+                 "_lines_list", "_gaps_list", "_writes_list", "_issue_steps",
                  "_set_indices", "_tags", "_footprints")
 
     def __init__(self, trace: Trace, line_shift: int):
         if line_shift < 0:
             raise ValueError(f"line_shift must be >= 0, got {line_shift}")
-        self.trace = trace
+        # The trace memoizes this decode, so holding the trace itself
+        # would make a reference cycle that keeps an evicted trace and
+        # its decoded lists alive until a full garbage collection.
+        self.addr = trace.addr
+        self.gap = trace.gap
+        self.write = trace.write
         self.line_shift = line_shift
         self._lines: "np.ndarray | None" = None
         self._lines_list: "List[int] | None" = None
@@ -62,7 +67,7 @@ class TraceDecode:
     def lines(self) -> np.ndarray:
         """Line address column (``addr >> line_shift``), one numpy pass."""
         if self._lines is None:
-            self._lines = self.trace.addr >> self.line_shift
+            self._lines = self.addr >> self.line_shift
         return self._lines
 
     def lines_list(self) -> List[int]:
@@ -73,12 +78,12 @@ class TraceDecode:
 
     def gaps_list(self) -> List[int]:
         if self._gaps_list is None:
-            self._gaps_list = self.trace.gap.tolist()
+            self._gaps_list = self.gap.tolist()
         return self._gaps_list
 
     def writes_list(self) -> List[int]:
         if self._writes_list is None:
-            self._writes_list = self.trace.write.tolist()
+            self._writes_list = self.write.tolist()
         return self._writes_list
 
     # -- placement -----------------------------------------------------------
@@ -115,7 +120,7 @@ class TraceDecode:
             if issue_width < 1:
                 raise ValueError(
                     f"issue_width must be >= 1, got {issue_width}")
-            issued = np.cumsum(self.trace.gap) // issue_width
+            issued = np.cumsum(self.gap) // issue_width
             cached = np.diff(issued, prepend=0).tolist()
             self._issue_steps[issue_width] = cached
         return cached

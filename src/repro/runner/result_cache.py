@@ -37,12 +37,11 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 import threading
 from contextlib import contextmanager
 from typing import Optional
 
-from repro.util.diskcache import maybe_evict
+from repro.util.diskcache import atomic_store
 
 #: bump when simulator semantics change results for unchanged specs
 #: (timing model, controller, scheme construction, RNG derivation, ...)
@@ -73,6 +72,8 @@ class ResultCache:
         self.misses = 0
         self.store_failures = 0
         self.corrupt_evicted = 0
+        self.evictions = 0
+        self.rescans = 0
         self._suspended = 0
         # Counter updates come from whichever thread ran the lookup —
         # the sweep service serves /metrics while a job thread is
@@ -98,6 +99,8 @@ class ResultCache:
                 "misses": self.misses,
                 "store_failures": self.store_failures,
                 "corrupt_evicted": self.corrupt_evicted,
+                "evictions": self.evictions,
+                "rescans": self.rescans,
                 "enabled": self.enabled,
                 "disk_dir": self.disk_dir,
             }
@@ -204,24 +207,20 @@ class ResultCache:
     def store(self, fingerprint: str, result) -> None:
         if not self.enabled:
             return
+
+        def write(fh) -> None:
+            pickle.dump((fingerprint, result), fh, protocol=pickle.HIGHEST_PROTOCOL)
+
         try:
-            os.makedirs(self.disk_dir, exist_ok=True)
-            path = self._path_for(fingerprint)
-            fd, tmp = tempfile.mkstemp(dir=self.disk_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump((fingerprint, result), fh, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            maybe_evict(self.disk_dir)
+            outcome = atomic_store(self.disk_dir, self._path_for(fingerprint), write)
         except (OSError, pickle.PicklingError, TypeError, AttributeError):
             # Unpicklable results (or a full disk) only cost caching.
             self._count("store_failures")
+            return
+        if outcome.rescanned:
+            self._count("rescans")
+        if outcome.evicted:
+            self._count("evictions", outcome.evicted)
 
     # -- maintenance ---------------------------------------------------------
 

@@ -1,12 +1,23 @@
-"""Size bound for the on-disk caches under ``~/.cache/repro``.
+"""Size bound and atomic writes for the on-disk caches under ``~/.cache/repro``.
 
 Both disk layers — the trace cache (``traces/``) and the result cache
 (``results/``) — grow without limit as sweeps vary their parameters, so
-every store triggers an mtime-LRU sweep of its directory: when the
-directory exceeds its byte budget, the least recently *used* entries
-(oldest mtime; reads bump it) are deleted until it fits.  The budget is
-``REPRO_CACHE_MAX_MB`` megabytes per directory (default 512); ``0`` or
-a negative value disables eviction.
+each directory has a byte budget: ``REPRO_CACHE_MAX_MB`` megabytes per
+directory (default 512); ``0`` or a negative value disables eviction.
+When a directory exceeds it, the least recently *used* entries (oldest
+mtime; reads bump it) are deleted until it fits.
+
+Both layers write through :func:`atomic_store` (temp file +
+``os.replace``, then the budget check).  To keep a store O(1), each
+process tracks every directory's byte total together with the
+directory mtime it last left behind: a store adds its file's size and
+subtracts the size of the entry it replaced.  The total is trusted only
+while the directory mtime is unchanged since this process's last store;
+a write or eviction by any other process (or a deletion by this one)
+changes it and forces one full scan, as does every
+:data:`RESCAN_EVERY`-th store, which bounds drift on filesystems with
+coarse mtimes.  Eviction itself is the exact full-scan mtime-LRU of
+:func:`evict_lru`, run only when the tracked total is over budget.
 
 ``python -m repro cache --stats/--clear`` reports and empties the same
 directories.
@@ -15,12 +26,18 @@ directories.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+import tempfile
+import threading
+from typing import BinaryIO, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 #: per-directory budget in megabytes when ``REPRO_CACHE_MAX_MB`` is unset
 DEFAULT_MAX_MB = 512
 
 _ENV_VAR = "REPRO_CACHE_MAX_MB"
+
+#: a store rescans its directory at least this often, even when the
+#: directory mtime says nobody else wrote to it
+RESCAN_EVERY = 256
 
 
 def cache_root() -> str:
@@ -80,9 +97,8 @@ def dir_stats(directory: Optional[str]) -> Dict[str, int]:
             "bytes": sum(size for _, size, _ in entries)}
 
 
-def evict_lru(directory: str, max_bytes: int) -> int:
-    """Delete oldest-mtime files until the directory fits; returns the
-    number of files removed."""
+def _evict(directory: str, max_bytes: int) -> Tuple[int, int]:
+    """``(files removed, bytes left)`` after an mtime-LRU eviction."""
     entries = _scan(directory)
     total = sum(size for _, size, _ in entries)
     removed = 0
@@ -95,7 +111,13 @@ def evict_lru(directory: str, max_bytes: int) -> int:
             continue
         total -= size
         removed += 1
-    return removed
+    return removed, total
+
+
+def evict_lru(directory: str, max_bytes: int) -> int:
+    """Delete oldest-mtime files until the directory fits; returns the
+    number of files removed."""
+    return _evict(directory, max_bytes)[0]
 
 
 def maybe_evict(directory: Optional[str]) -> int:
@@ -106,6 +128,74 @@ def maybe_evict(directory: Optional[str]) -> int:
     if budget is None:
         return 0
     return evict_lru(directory, budget)
+
+
+#: per directory: ``(byte total, directory st_mtime_ns this process
+#: last left behind, stores since the last full scan)``
+_TRACKED: Dict[str, Tuple[int, int, int]] = {}
+_TRACKED_LOCK = threading.Lock()
+
+
+class StoreOutcome(NamedTuple):
+    """What one :func:`atomic_store` did beyond the write itself."""
+
+    #: the tracked total was distrusted and the directory fully scanned
+    rescanned: bool = False
+    #: entries the budget check deleted
+    evicted: int = 0
+
+
+def _file_size(path: str) -> int:
+    try:
+        return os.stat(path).st_size
+    except OSError:
+        return 0
+
+
+def atomic_store(directory: str, path: str,
+                 write: Callable[[BinaryIO], None]) -> StoreOutcome:
+    """Write ``path`` inside ``directory`` atomically, then apply the
+    budget.
+
+    ``write(fh)`` fills a temp file in the same directory, which
+    ``os.replace`` then moves onto ``path``, so readers and concurrent
+    writers never see a truncated entry.  If ``write`` (or the replace)
+    raises, the temp file is removed, the tracked total is left as it
+    was and the exception propagates.  The budget check costs O(1)
+    while the tracked total is trusted (see the module docstring).
+    """
+    os.makedirs(directory, exist_ok=True)
+    budget = max_cache_bytes()
+    with _TRACKED_LOCK:
+        total, mtime_ns, stores = _TRACKED.get(directory, (0, None, 0))
+        trusted = (budget is not None and stores < RESCAN_EVERY
+                   and mtime_ns == os.stat(directory).st_mtime_ns)
+        replaced = _file_size(path) if trusted else 0
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                write(fh)
+                written = fh.tell()
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+        if budget is None:
+            return StoreOutcome()
+        if trusted:
+            total += written - replaced
+            stores += 1
+        else:
+            total = dir_stats(directory)["bytes"]
+            stores = 1
+        evicted = 0
+        if total > budget:
+            evicted, total = _evict(directory, budget)
+        _TRACKED[directory] = (total, os.stat(directory).st_mtime_ns, stores)
+    return StoreOutcome(not trusted, evicted)
 
 
 def clear_dir(directory: Optional[str]) -> Dict[str, int]:

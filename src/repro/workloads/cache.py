@@ -33,14 +33,13 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from collections import OrderedDict
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.cpu.trace import Trace
-from repro.util.diskcache import maybe_evict
+from repro.util.diskcache import atomic_store
 
 #: default number of traces the in-process LRU layer retains
 DEFAULT_MEMORY_ENTRIES = 32
@@ -135,22 +134,14 @@ class TraceCache:
     def _disk_store(self, key: tuple, trace) -> None:
         if self.disk_dir is None:
             return
+
+        def write(fh) -> None:
+            pickle.dump((key, self._payload_for(trace)), fh,
+                        protocol=pickle.HIGHEST_PROTOCOL)
+
         try:
-            os.makedirs(self.disk_dir, exist_ok=True)
-            path = self._path_for(self.disk_dir, key)
-            fd, tmp = tempfile.mkstemp(dir=self.disk_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump((key, self._payload_for(trace)), fh,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            maybe_evict(self.disk_dir)
+            atomic_store(self.disk_dir, self._path_for(self.disk_dir, key),
+                         write)
         except OSError:
             # A read-only or full filesystem only costs persistence.
             pass

@@ -1,5 +1,8 @@
 """Tests for the columnar Trace container and the batched pre-decode."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -193,6 +196,29 @@ class TestTraceDecode:
         assert decode.warm_footprint(len(addrs)) == [0, 1, 0, 2]
         assert decode.warm_footprint(2) == [0]
         assert decode.warm_footprint(0) == []
+
+    def test_dropped_trace_freed_without_gc(self):
+        """The decode memo must not form a cycle with its trace, or an
+        evicted trace keeps its decoded columns until a full GC."""
+
+        class WeakTrace(Trace):  # Trace's __slots__ carry no __weakref__
+            pass
+
+        table = Trace.from_records(RECORDS)
+        trace = WeakTrace(table.addr, table.gap, table.write)
+        decode = trace.decoded(6)
+        decode.lines_list()
+        decode.gaps_list()
+        decode.issue_steps(4)
+        lines = weakref.ref(decode.lines())
+        alive = weakref.ref(trace)
+        gc.disable()
+        try:
+            del trace, decode
+            assert alive() is None
+            assert lines() is None
+        finally:
+            gc.enable()
 
     def test_negative_line_shift_rejected(self):
         with pytest.raises(ValueError):

@@ -145,6 +145,21 @@ class TestLoadStore:
         cache.store(fingerprint, lambda: None)  # locals don't pickle
         assert cache.store_failures == 1
         assert cache.load(fingerprint) is None
+        assert os.listdir(cache.disk_dir) == []  # no temp file left
+
+    def test_stats_snapshot_counts_rescans_and_evictions(self, cache, monkeypatch):
+        snapshot = cache.stats_snapshot()
+        for key in ("hits", "misses", "store_failures", "corrupt_evicted",
+                    "evictions", "rescans", "enabled", "disk_dir"):
+            assert key in snapshot
+        for value in range(3):
+            cache.store(cache.fingerprint(TokenSpec(value)), "result")
+        # Only the first store has to scan the directory.
+        assert cache.stats_snapshot()["rescans"] == 1
+        assert cache.stats_snapshot()["evictions"] == 0
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.0001")  # 104 bytes
+        cache.store(cache.fingerprint(TokenSpec(99)), "x" * 50)
+        assert cache.stats_snapshot()["evictions"] >= 2
 
     def test_disabled_context(self, cache):
         fingerprint = cache.fingerprint(TokenSpec(1))

@@ -44,7 +44,8 @@ class TestDiskResultStore:
         store = make_store(tmp_path)
         snapshot = store.stats_snapshot()
         for key in ("hits", "misses", "store_failures", "corrupt_evicted",
-                    "enabled", "hit_rate", "backend"):
+                    "evictions", "rescans", "enabled", "hit_rate",
+                    "backend"):
             assert key in snapshot
         assert snapshot["hit_rate"] == 0.0
 

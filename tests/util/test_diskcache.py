@@ -1,11 +1,20 @@
 """Tests for the mtime-LRU size bound on the on-disk caches."""
 
+import math
 import os
+import pickle
+import random
+import sys
+import threading
+import time
 
 import pytest
 
+from repro.util import diskcache
 from repro.util.diskcache import (
     DEFAULT_MAX_MB,
+    RESCAN_EVERY,
+    atomic_store,
     cache_root,
     clear_dir,
     dir_stats,
@@ -124,3 +133,144 @@ class TestClearDir:
 
     def test_none_dir(self):
         assert clear_dir(None) == {"files": 0, "bytes": 0}
+
+
+def store_bytes(directory, name, size):
+    return atomic_store(directory, os.path.join(directory, name),
+                        lambda fh: fh.write(b"x" * size))
+
+
+def tracked_total(directory):
+    return diskcache._TRACKED[directory][0]
+
+
+class TestAtomicStore:
+    @pytest.fixture(autouse=True)
+    def fresh_tracking(self, monkeypatch):
+        monkeypatch.setattr(diskcache, "_TRACKED", {})
+
+    def test_writes_entry_and_no_temp_file(self, tmp_path):
+        directory = str(tmp_path / "cache")
+        store_bytes(directory, "a", 10)
+        assert os.listdir(directory) == ["a"]
+        assert dir_stats(directory) == {"files": 1, "bytes": 10}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_budget_holds_and_evicts_oldest_mtime(self, tmp_path,
+                                                  monkeypatch, seed):
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.01")
+        budget = max_cache_bytes()
+        directory = str(tmp_path)
+        rng = random.Random(seed)
+        base = time.time() - 10_000
+        model = []  # (name, size), oldest mtime first
+        for step in range(200):
+            if model and rng.random() < 0.2:
+                # A cache read: bumps the entry's mtime to the newest.
+                name, size = model.pop(rng.randrange(len(model)))
+                os.utime(os.path.join(directory, name),
+                         (base + step, base + step))
+                model.append((name, size))
+                continue
+            name, size = f"e{rng.randrange(60)}", rng.randrange(100, 3000)
+            store_bytes(directory, name, size)
+            os.utime(os.path.join(directory, name), (base + step, base + step))
+            model = [entry for entry in model if entry[0] != name]
+            model.append((name, size))
+            while sum(size for _, size in model) > budget:
+                model.pop(0)
+            stats = dir_stats(directory)
+            assert stats["bytes"] <= budget
+            assert sorted(os.listdir(directory)) == sorted(n for n, _ in model)
+            assert tracked_total(directory) == stats["bytes"]
+
+    def test_overwrite_counts_only_size_change(self, tmp_path):
+        directory = str(tmp_path)
+        store_bytes(directory, "a", 100)
+        store_bytes(directory, "b", 50)
+        assert tracked_total(directory) == 150
+        outcome = store_bytes(directory, "a", 30)
+        assert not outcome.rescanned
+        assert tracked_total(directory) == 80
+        assert dir_stats(directory)["bytes"] == 80
+
+    def test_foreign_write_triggers_rescan(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.005")  # 5242 bytes
+        directory = str(tmp_path)
+        assert store_bytes(directory, "a", 1000).rescanned  # first sight
+        make_entry(directory, "foreign", 4000, 100)
+        recorded = diskcache._TRACKED[directory][1]
+        if os.stat(directory).st_mtime_ns == recorded:
+            # The directory clock did not tick between the two writes;
+            # give the foreign write the distinct mtime it normally has.
+            os.utime(directory, ns=(recorded + 1, recorded + 1))
+        outcome = store_bytes(directory, "b", 1000)
+        # The tracked total alone (2000 bytes) would not be over budget.
+        assert outcome.rescanned
+        assert outcome.evicted == 1
+        assert not os.path.exists(os.path.join(directory, "foreign"))
+        assert dir_stats(directory)["bytes"] <= max_cache_bytes()
+        assert tracked_total(directory) == 2000
+
+    def test_under_budget_stores_rarely_scan(self, tmp_path, monkeypatch):
+        scans = []
+        real_scan = diskcache._scan
+
+        def counting_scan(directory):
+            scans.append(directory)
+            return real_scan(directory)
+
+        monkeypatch.setattr(diskcache, "_scan", counting_scan)
+        directory = str(tmp_path)
+        rescans = sum(store_bytes(directory, f"k{i}", 64).rescanned
+                      for i in range(1000))
+        assert len(scans) == rescans
+        assert len(scans) <= math.ceil(1000 / RESCAN_EVERY) + 1
+        assert tracked_total(directory) == 1000 * 64
+
+    def test_disabled_budget_never_scans(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0")
+        monkeypatch.setattr(diskcache, "_scan", lambda directory: 1 / 0)
+        assert store_bytes(str(tmp_path), "a", 10) == (False, 0)
+
+    def test_failed_write_leaves_no_temp_and_keeps_total(self, tmp_path):
+        directory = str(tmp_path)
+        store_bytes(directory, "a", 100)
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            atomic_store(directory, os.path.join(directory, "b"),
+                         lambda fh: pickle.dump(lambda: None, fh))
+        assert os.listdir(directory) == ["a"]
+        assert tracked_total(directory) == 100
+        store_bytes(directory, "c", 10)
+        assert tracked_total(directory) == dir_stats(directory)["bytes"] == 110
+
+    def test_concurrent_stores_keep_total_exact(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.02")
+        directory = str(tmp_path)
+        errors = []
+
+        def writer(worker):
+            rng = random.Random(worker)
+            try:
+                for i in range(60):
+                    store_bytes(directory, f"w{worker}-{rng.randrange(20)}",
+                                rng.randrange(50, 1500))
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(w,))
+                   for w in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stats = dir_stats(directory)
+        assert stats["bytes"] <= max_cache_bytes()
+        assert tracked_total(directory) == stats["bytes"]
