@@ -9,16 +9,19 @@ lane-parallel kernel (:func:`repro.cpu.lanes.run_lanes_general`), one
 or many lanes per call:
 
 * :class:`GeneralGroupState` — the per-(trace, config, warm) inputs:
-  decoded line/step columns of the measured slice and the warmed L2
-  contents as plain int lists,
+  the decoded line/step columns of the measured slice and the warmed
+  L2 image, as read-only int64 arrays the C kernel reads in place
+  (plain int lists are built only if the Python fallback kernel runs),
 * :func:`lower_cell` — build the cell's scheme, check that it is
-  exactly the stock set-associative/LRU configuration the kernels
-  transcribe, and pregenerate its random-fill draw row from its own
-  derived RNG stream; ineligible cells lower to ``None`` and the
-  caller falls back to :func:`repro.runner.cells.run_cell`,
+  exactly the stock set-associative/LRU configuration the kernel
+  transcribes, and pregenerate its random-fill draw row (a uint32
+  array) from its own derived RNG stream; ineligible cells lower to
+  ``None`` and the caller falls back to
+  :func:`repro.runner.cells.run_cell`,
 * :func:`run_lane_cells` — a group of lowered cells through the lane
   kernel in one shared trace pass (the lanes must agree on
-  :meth:`LoweredCell.shared_key`),
+  :meth:`LoweredCell.shared_key`), each draw row masked in place into
+  one offsets matrix (:func:`lane_inputs`),
 * :func:`run_lowered_cell` — one cell with no lane partner, as a
   one-lane call,
 * :func:`lane_eligible` — the structural half of the eligibility check
@@ -27,19 +30,21 @@ or many lanes per call:
 Results are bit-identical to the per-cell path: the kernel is an exact
 transcription of the fused kernel plus settle, the warm replay mirrors
 ``warm_l2``, and the draw row reproduces the scalar ``draw()`` stream
-(:meth:`repro.util.rng.HardwareRng.pregenerate`).
+(:meth:`repro.util.rng.HardwareRng.draw_row`).
 """
 
 from __future__ import annotations
 
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cache.controller import DemandFetchPolicy
 from repro.cache.l2 import L2Cache
 from repro.cache.set_associative import SetAssociativeCache
 from repro.core.policy import RandomFillPolicy
-from repro.cpu.lanes import LaneCell, masked_offsets, run_lanes_general
+from repro.cpu.lanes import run_lanes_general, warm_l2_template
 from repro.cpu.timing import SimResult
 from repro.cpu.trace import Trace
 from repro.memory.dram import DramModel
@@ -50,15 +55,19 @@ _THREAD_ID = 0
 
 
 class GeneralGroupState:
-    """Shared inputs of one batch group: decode columns + warm L2 state.
+    """Shared inputs of one batch group: decode columns + warm L2 image.
 
     Built once per (trace, config, warm) group; every cell of the group
-    reads the same column lists and warmed L2 sets (never mutated: the
-    lane kernel copies the L2 image per lane).
+    reads the same arrays, all read-only: ``lines`` and ``steps`` (the
+    measured slice's int64 decode columns, straight from
+    :class:`~repro.cpu.decode.TraceDecode`) and ``l2_template`` (the
+    warmed L2, ``l2_num_sets * l2_assoc`` ways, MRU first, ``-1`` for
+    an empty way; the lane kernel copies it per lane).
     """
 
     __slots__ = ("config", "lines", "steps", "instructions",
-                 "l2_num_sets", "l2_assoc", "_warm_l2_sets")
+                 "l2_num_sets", "l2_assoc", "l2_template",
+                 "_python_columns")
 
     def __init__(self, trace: Trace, config, warm: bool):
         self.config = config
@@ -68,39 +77,36 @@ class GeneralGroupState:
             # split (and the same memoized slice/decode objects) as
             # run_general_workload.
             split = len(trace) // 2
-            footprint = trace.decoded(line_shift).warm_footprint(split)
+            footprint = trace.decoded(line_shift).warm_footprint_array(split)
             measured = trace[split:]
         else:
-            footprint = ()
+            footprint = np.empty(0, dtype=np.int64)
             measured = trace
         decode = measured.decoded(line_shift)
-        self.lines: List[int] = decode.lines_list()
-        self.steps: List[int] = decode.issue_steps(config.issue_width)
+        self.lines: np.ndarray = decode.lines()
+        self.steps: np.ndarray = decode.step_column(config.issue_width)
         self.instructions: int = measured.instruction_count
         self.l2_num_sets = (config.l2_size // config.line_size) \
             // config.l2_assoc
         self.l2_assoc = config.l2_assoc
-        # Flat replay of warm_l2: access-or-fill per footprint line on
-        # MRU-first int lists (hits move to front, fills evict the LRU
-        # tail), matching SetAssociativeCache under LRU exactly.
-        l2_mask = self.l2_num_sets - 1
-        l2_assoc = self.l2_assoc
-        sets: List[List[int]] = [[] for _ in range(self.l2_num_sets)]
-        for line in footprint:
-            cache_set = sets[line & l2_mask]
-            if line in cache_set:
-                if cache_set[0] != line:
-                    cache_set.remove(line)
-                    cache_set.insert(0, line)
-            else:
-                if len(cache_set) >= l2_assoc:
-                    cache_set.pop()
-                cache_set.insert(0, line)
-        self._warm_l2_sets = sets
+        self.l2_template = warm_l2_template(footprint, self.l2_num_sets,
+                                            self.l2_assoc)
+        self._python_columns = None
 
-    def l2_sets_view(self) -> List[List[int]]:
-        """The warmed L2 contents, MRU first — read-only for callers."""
-        return self._warm_l2_sets
+    def python_columns(self) -> Tuple[List[int], List[List[int]]]:
+        """``lines`` and the warm L2 as plain ints, for the Python kernel.
+
+        Built on first use (only the no-compiler fallback asks), then
+        kept for the group's other lane calls.  The L2 comes back as one
+        MRU-first list per set.
+        """
+        if self._python_columns is None:
+            rows = self.l2_template.reshape(-1, self.l2_assoc).tolist()
+            self._python_columns = (
+                self.lines.tolist(),
+                [[line for line in row if line != -1] for row in rows],
+            )
+        return self._python_columns
 
 
 def group_state_for(spec) -> GeneralGroupState:
@@ -192,7 +198,7 @@ def _lower(spec, config, l2_num_sets, l2_assoc,
     policy = l1._policy
     policy_kind = 1
     rf_a = rf_mask = 0
-    draws: Sequence[int] = ()
+    draws: Optional[np.ndarray] = None
     if type(policy) is RandomFillPolicy:
         engine = policy.engine
         rf_window = engine.window_for(_THREAD_ID)
@@ -205,7 +211,7 @@ def _lower(spec, config, l2_num_sets, l2_assoc,
             # enough.  The row comes from this cell's own derived RNG
             # stream and reproduces scalar draw() bit-exactly.
             if n_draws:
-                draws = engine._rng.pregenerate(n_draws)
+                draws = engine._rng.draw_row(n_draws)
     elif type(policy) is not DemandFetchPolicy:
         return None
 
@@ -265,6 +271,24 @@ def lane_eligible(spec) -> bool:
                   n_draws=0) is not None
 
 
+def lane_inputs(lowered: Sequence[LoweredCell],
+                n_records: int) -> Tuple[List[int], np.ndarray]:
+    """The per-lane kernel inputs: policy kinds and the offsets matrix.
+
+    Each random-fill lane's draw row is masked in place into its row of
+    one ``(lanes, records)`` int64 matrix as ``(draw & rf_mask) -
+    rf_a`` (Table II bounds) — bit-identical to the fused kernel's
+    per-miss arithmetic, since the masked draw is below the window size.
+    Demand-fetch rows are left unset; the kernel never reads them.
+    """
+    offsets = np.empty((len(lowered), n_records), dtype=np.int64)
+    for row, lc in zip(offsets, lowered):
+        if lc.policy_kind == 2:
+            np.bitwise_and(lc.draws, lc.rf_mask, out=row, casting="unsafe")
+            row -= lc.rf_a
+    return [lc.policy_kind for lc in lowered], offsets
+
+
 def run_lane_cells(group: GeneralGroupState,
                    lowered: Sequence[LoweredCell]) -> List[SimResult]:
     """Run a group of lowered cells as lanes of one shared trace pass.
@@ -275,26 +299,8 @@ def run_lane_cells(group: GeneralGroupState,
     """
     if not lowered:
         return []
-    first = lowered[0]
-    cells = [
-        LaneCell(
-            lc.policy_kind,
-            masked_offsets(lc.draws, lc.rf_a, lc.rf_mask)
-            if lc.policy_kind == 2 else None,
-        )
-        for lc in lowered
-    ]
-    return run_lanes_general(
-        group.lines, group.steps, group.instructions,
-        l1_num_sets=first.l1_num_sets, l1_assoc=first.l1_assoc,
-        l2_sets=group.l2_sets_view(),
-        l2_num_sets=group.l2_num_sets, l2_assoc=group.l2_assoc,
-        l2_hit_latency=first.l2_hit_latency,
-        mq_capacity=first.mq_capacity, fill_reserve=first.fill_reserve,
-        fill_queue_capacity=first.fill_queue_capacity,
-        hit_cost=first.hit_cost, mlp=first.mlp, credit=first.credit,
-        cells=cells, dram=first.dram,
-    )
+    kinds, offsets = lane_inputs(lowered, len(group.lines))
+    return run_lanes_general(group, lowered[0], kinds, offsets)
 
 
 def run_lowered_cell(group: GeneralGroupState,

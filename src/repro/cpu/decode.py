@@ -4,10 +4,10 @@ Splitting a byte address into line address / set index / tag is pure
 per-record arithmetic, yet the interpreter used to pay for it once per
 access — tens of millions of shift-and-mask bytecodes per sweep.  A
 :class:`TraceDecode` performs each derivation exactly once per (trace,
-cache geometry) as a whole-column numpy pass, then hands the timing
-model plain Python lists (one ``tolist()`` call, not one ``int()`` per
-element), which the per-record simulation loop iterates faster than
-numpy scalars.
+cache geometry) as a whole-column numpy pass.  The C lane kernel reads
+the read-only int64 columns in place; the Python timing loops ask for
+plain int lists instead (one ``tolist()`` call, not one ``int()`` per
+element), which they iterate faster than numpy scalars.
 
 Instances are memoized on the :class:`~repro.cpu.trace.Trace`
 (``trace.decoded(line_shift)``), so the eleven Figure-10 windows that
@@ -32,16 +32,21 @@ class TraceDecode:
     * :meth:`lines` / :meth:`lines_list` — line address per record,
     * :meth:`set_indices` / :meth:`tags` — placement for one tag-store
       geometry,
-    * :meth:`issue_steps` — per-record cycle increment of the in-order
-      issue front-end for one ``issue_width`` (the running
-      ``backlog // width`` arithmetic collapsed into a cumsum diff),
-    * :meth:`warm_footprint` — consecutive-duplicate-free line-address
-      prefix used to pre-warm the L2.
+    * :meth:`step_column` / :meth:`issue_steps` — per-record cycle
+      increment of the in-order issue front-end for one
+      ``issue_width`` (the running ``backlog // width`` arithmetic
+      collapsed into a cumsum diff),
+    * :meth:`warm_footprint_array` — consecutive-duplicate-free
+      line-address prefix used to pre-warm the L2.
+
+    The array products are read-only: they are shared by every cell
+    that replays the trace.
     """
 
     __slots__ = ("addr", "gap", "write", "line_shift", "_lines",
-                 "_lines_list", "_gaps_list", "_writes_list", "_issue_steps",
-                 "_set_indices", "_tags", "_footprints")
+                 "_lines_list", "_gaps_list", "_writes_list",
+                 "_step_columns", "_issue_steps", "_set_indices", "_tags",
+                 "_footprints")
 
     def __init__(self, trace: Trace, line_shift: int):
         if line_shift < 0:
@@ -57,17 +62,18 @@ class TraceDecode:
         self._lines_list: "List[int] | None" = None
         self._gaps_list: "List[int] | None" = None
         self._writes_list: "List[int] | None" = None
+        self._step_columns: Dict[int, np.ndarray] = {}
         self._issue_steps: Dict[int, List[int]] = {}
         self._set_indices: Dict[int, np.ndarray] = {}
         self._tags: Dict[int, np.ndarray] = {}
-        self._footprints: Dict[int, List[int]] = {}
+        self._footprints: Dict[int, np.ndarray] = {}
 
     # -- line addresses ------------------------------------------------------
 
     def lines(self) -> np.ndarray:
         """Line address column (``addr >> line_shift``), one numpy pass."""
         if self._lines is None:
-            self._lines = self.addr >> self.line_shift
+            self._lines = _read_only(self.addr >> self.line_shift)
         return self._lines
 
     def lines_list(self) -> List[int]:
@@ -106,7 +112,7 @@ class TraceDecode:
 
     # -- issue front-end -----------------------------------------------------
 
-    def issue_steps(self, issue_width: int) -> List[int]:
+    def step_column(self, issue_width: int) -> np.ndarray:
         """Cycles the issue front-end advances before each record.
 
         Equivalent to the scalar recurrence ``backlog += gap;
@@ -115,30 +121,44 @@ class TraceDecode:
         the per-record step is the difference of
         ``cumsum(gap) // width``.
         """
-        cached = self._issue_steps.get(issue_width)
+        cached = self._step_columns.get(issue_width)
         if cached is None:
             if issue_width < 1:
                 raise ValueError(
                     f"issue_width must be >= 1, got {issue_width}")
             issued = np.cumsum(self.gap) // issue_width
-            cached = np.diff(issued, prepend=0).tolist()
+            cached = _read_only(np.diff(issued, prepend=0))
+            self._step_columns[issue_width] = cached
+        return cached
+
+    def issue_steps(self, issue_width: int) -> List[int]:
+        """:meth:`step_column` as plain ints (for the Python loops)."""
+        cached = self._issue_steps.get(issue_width)
+        if cached is None:
+            cached = self.step_column(issue_width).tolist()
             self._issue_steps[issue_width] = cached
         return cached
 
     # -- warm-up -------------------------------------------------------------
 
-    def warm_footprint(self, split: int) -> List[int]:
+    def warm_footprint_array(self, split: int) -> np.ndarray:
         """Line addresses of ``trace[:split]`` with consecutive runs
         collapsed (the warm-up loop probes each run once anyway)."""
         cached = self._footprints.get(split)
         if cached is None:
             prefix = self.lines()[:split]
-            if len(prefix) == 0:
-                cached = []
-            else:
-                keep = np.empty(len(prefix), dtype=bool)
-                keep[0] = True
-                np.not_equal(prefix[1:], prefix[:-1], out=keep[1:])
-                cached = prefix[keep].tolist()
+            keep = np.empty(len(prefix), dtype=bool)
+            keep[:1] = True
+            np.not_equal(prefix[1:], prefix[:-1], out=keep[1:])
+            cached = _read_only(prefix[keep])
             self._footprints[split] = cached
         return cached
+
+    def warm_footprint(self, split: int) -> List[int]:
+        """:meth:`warm_footprint_array` as plain ints."""
+        return self.warm_footprint_array(split).tolist()
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column

@@ -6,19 +6,20 @@ a random-fill window with its own draw row).  This module runs all of
 them as independent *lanes* over the shared columns in a single kernel
 call; a lone lowered cell is simply a one-lane call.
 
-numpy prepares the shared column work — the decoded trace is reused
-as-is, the per-record step column is shared, and each lane's
-pregenerated random-fill draw row is masked to fill offsets in one
-vectorized pass (``(draw & mask) - a``, Table II bounds; see
-:func:`masked_offsets`).  The per-record state machine itself runs in
-a small C kernel (``lanes_kernel.c``), compiled once with the host
-toolchain and loaded through :mod:`ctypes`; results are
-**bit-identical** to the per-cell fused kernel
-(:meth:`repro.cpu.timing.TimingModel._run_columnar_fused` plus settle)
-because the C code is a branch-for-branch transcription (drain order,
-fill-queue drop/merge rules, MSHR-full stall, MLP charge table with
-its prune threshold, and the settle loop) and every quantity fits
-int64 with all divisions on non-negative operands.
+The inputs stay numpy arrays end to end: the decoded line and step
+columns and the warmed L2 image (built once per group by the C
+:func:`warm_l2_template` replay) are read-only int64 arrays shared by
+every lane, and each lane's pregenerated random-fill draw row is masked
+in place into one ``(lanes, records)`` offsets matrix (``(draw & mask)
+- a``, Table II bounds).  The C kernel reads them all without a copy.
+The per-record state machine itself runs in a small C kernel
+(``lanes_kernel.c``), compiled once with the host toolchain and loaded
+through :mod:`ctypes`; results are **bit-identical** to the per-cell
+fused kernel (:meth:`repro.cpu.timing.TimingModel._run_columnar_fused`
+plus settle) because the C code is a branch-for-branch transcription
+(drain order, fill-queue drop/merge rules, MSHR-full stall, MLP charge
+table with its prune threshold, and the settle loop) and every quantity
+fits int64 with all divisions on non-negative operands.
 
 Why C and not numpy record-steps: this kernel went through three
 measured all-Python designs first — the issue-sketched
@@ -33,7 +34,8 @@ steady-merge fast path) topped out at ~1.06x — fig10 traffic is
 miss/merge-dominated, so per-event interpreter constants bound any
 same-language kernel near 1x.  That tuned per-lane kernel ships as
 :func:`_run_lane_python`, the fallback when no C compiler is
-available; the native kernel is the performance path.
+available and the only code here that works on plain int lists; the
+native kernel is the performance path.
 """
 
 from __future__ import annotations
@@ -70,35 +72,10 @@ LAST_STATS: dict = {}
 #: bound (C returns -2); such configs take the Python fallback
 _NATIVE_MQ_LIMIT = 64
 
-_native_fn = None
+_native_lib = None
 _native_tried = False
 
-
-class LaneCell:
-    """Per-lane kernel inputs: the policy split of one lowered cell.
-
-    ``offsets`` is the pregenerated random-fill offset row
-    ``(draw & rf_mask) - rf_a`` as an int64 array (one entry per trace
-    record, masked in one numpy pass from the cell's own derived RNG
-    stream); ``None`` for demand-fetch lanes (``policy_kind`` 1).
-    """
-
-    __slots__ = ("policy_kind", "offsets")
-
-    def __init__(self, policy_kind: int,
-                 offsets: Optional[np.ndarray] = None):
-        self.policy_kind = policy_kind
-        self.offsets = offsets
-
-
-def masked_offsets(draws: Sequence[int], rf_a: int,
-                   rf_mask: int) -> np.ndarray:
-    """One lane's fill-offset row: ``(draw & rf_mask) - rf_a`` vectorized.
-
-    Bit-identical to the fused kernel's per-miss arithmetic: the raw
-    draws are below ``2**width <= 2**32`` so int64 masking is exact.
-    """
-    return (np.asarray(draws, dtype=np.int64) & rf_mask) - rf_a
+_I64P = ctypes.POINTER(ctypes.c_int64)
 
 
 def _compile_native() -> Optional[ctypes.CDLL]:
@@ -147,22 +124,24 @@ def _compile_native() -> Optional[ctypes.CDLL]:
         return None
 
 
-def _native():
-    """The bound ``run_lanes`` entry point, or ``None`` (memoized)."""
-    global _native_fn, _native_tried
+def _native() -> Optional[ctypes.CDLL]:
+    """The kernel library with its entry points bound, or ``None``
+    (memoized)."""
+    global _native_lib, _native_tried
     if _native_tried:
-        return _native_fn
+        return _native_lib
     _native_tried = True
     lib = _compile_native()
     if lib is None:
         return None
     i64 = ctypes.c_int64
-    ptr = ctypes.POINTER(ctypes.c_int64)
-    fn = lib.run_lanes
-    fn.restype = ctypes.c_int
-    fn.argtypes = [i64, ptr, ptr, i64, ptr, ptr, ptr] + [i64] * 17 + [ptr]
-    _native_fn = fn
-    return fn
+    lib.run_lanes.restype = ctypes.c_int
+    lib.run_lanes.argtypes = ([i64, _I64P, _I64P, i64, _I64P, _I64P, _I64P]
+                              + [i64] * 17 + [_I64P])
+    lib.warm_l2.restype = None
+    lib.warm_l2.argtypes = [i64, _I64P, _I64P, i64, i64]
+    _native_lib = lib
+    return lib
 
 
 def native_available() -> bool:
@@ -171,58 +150,94 @@ def native_available() -> bool:
 
 
 def _as_ptr(arr: np.ndarray):
-    return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
+    """``arr``'s buffer as an ``int64_t *``, refusing any other layout."""
+    if arr.dtype != np.int64 or not arr.flags.c_contiguous:
+        raise TypeError("kernel arrays must be C-contiguous int64")
+    return arr.ctypes.data_as(_I64P)
 
 
-def _run_native(fn, lines_l, steps_l, instructions, l1_num_sets, l1_assoc,
-                l2_sets, l2_num_sets, l2_assoc, l2_hit_latency,
-                mq_capacity, fill_reserve, fill_queue_capacity, hit_cost,
-                mlp, credit, cells, dram) -> Optional[List[SimResult]]:
-    n_lanes = len(cells)
-    n_records = len(lines_l)
-    lines = np.asarray(lines_l, dtype=np.int64)
-    steps = np.asarray(steps_l, dtype=np.int64)
-    kinds = np.asarray([c.policy_kind for c in cells], dtype=np.int64)
-    offsets = np.zeros((n_lanes, n_records), dtype=np.int64)
-    for i, cell in enumerate(cells):
-        if cell.offsets is not None:
-            offsets[i, :len(cell.offsets)] = cell.offsets
+def warm_l2_template(footprint: np.ndarray, l2_num_sets: int,
+                     l2_assoc: int) -> np.ndarray:
+    """The warmed L2 image: ``footprint`` replayed into an empty L2.
+
+    Access-or-fill per line under LRU, as ``warm_l2`` does on the
+    object model.  Returns a read-only int64 array of ``l2_num_sets *
+    l2_assoc`` ways, each set MRU first with ``-1`` for an empty way —
+    the layout the C kernel copies per lane.  The C ``warm_l2`` replay
+    runs when the kernel library loads, :func:`_warm_l2_python`
+    otherwise.
+    """
     template = np.full(l2_num_sets * l2_assoc, -1, dtype=np.int64)
-    for s, ways in enumerate(l2_sets):
-        if ways:
+    lib = _native()
+    if lib is None:
+        sets = _warm_l2_python(footprint.tolist(), l2_num_sets, l2_assoc)
+        for s, ways in enumerate(sets):
             template[s * l2_assoc:s * l2_assoc + len(ways)] = ways
+    else:
+        lib.warm_l2(len(footprint), _as_ptr(footprint), _as_ptr(template),
+                    l2_num_sets, l2_assoc)
+    template.flags.writeable = False
+    return template
+
+
+def _warm_l2_python(footprint: List[int], l2_num_sets: int,
+                    l2_assoc: int) -> List[List[int]]:
+    """The no-compiler warm replay: MRU-first int list per set."""
+    l2_mask = l2_num_sets - 1
+    sets: List[List[int]] = [[] for _ in range(l2_num_sets)]
+    for line in footprint:
+        cache_set = sets[line & l2_mask]
+        if line in cache_set:
+            if cache_set[0] != line:
+                cache_set.remove(line)
+                cache_set.insert(0, line)
+        else:
+            if len(cache_set) >= l2_assoc:
+                cache_set.pop()
+            cache_set.insert(0, line)
+    return sets
+
+
+def _run_native(lib, group, params, kinds: np.ndarray,
+                offsets: np.ndarray) -> Optional[List[SimResult]]:
+    n_lanes = len(kinds)
+    n_records = len(group.lines)
     out = np.zeros(n_lanes * 7, dtype=np.int64)
-    rc = fn(n_records, _as_ptr(lines), _as_ptr(steps),
-            n_lanes, _as_ptr(kinds), _as_ptr(offsets), _as_ptr(template),
-            l1_num_sets, l1_assoc, l2_num_sets, l2_assoc,
-            l2_hit_latency, mq_capacity, fill_reserve,
-            fill_queue_capacity, hit_cost, mlp, credit,
-            dram[0], dram[1], dram[2], dram[3], dram[4], dram[5],
-            _as_ptr(out))
+    rc = lib.run_lanes(
+        n_records, _as_ptr(group.lines), _as_ptr(group.steps),
+        n_lanes, _as_ptr(kinds), _as_ptr(offsets),
+        _as_ptr(group.l2_template),
+        params.l1_num_sets, params.l1_assoc, group.l2_num_sets,
+        group.l2_assoc, params.l2_hit_latency, params.mq_capacity,
+        params.fill_reserve, params.fill_queue_capacity, params.hit_cost,
+        params.mlp, params.credit, *params.dram, _as_ptr(out))
     if rc != 0:
         return None
     return [
         SimResult(
-            instructions=instructions,
-            cycles=int(out[l * 7 + 0]),
+            instructions=group.instructions,
+            cycles=cycles,
             l1_accesses=n_records,
-            l1_hits=int(out[l * 7 + 1]),
-            l1_demand_misses=int(out[l * 7 + 2]),
-            l2_accesses=int(out[l * 7 + 3]),
-            l2_demand_misses=int(out[l * 7 + 4]),
-            memory_lines=int(out[l * 7 + 5]),
-            random_fill_issued=int(out[l * 7 + 6]),
+            l1_hits=hits,
+            l1_demand_misses=demand_misses,
+            l2_accesses=l2_accesses,
+            l2_demand_misses=l2_misses,
+            memory_lines=memory_lines,
+            random_fill_issued=rf_issued,
         )
-        for l in range(n_lanes)
+        for (cycles, hits, demand_misses, l2_accesses, l2_misses,
+             memory_lines, rf_issued) in out.reshape(n_lanes, 7).tolist()
     ]
 
 
-def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
-                     l1_assoc, l2_sets, l2_num_sets, l2_assoc,
-                     l2_hit_latency, mq_capacity, fill_reserve,
-                     fill_queue_capacity, hit_cost, mlp, credit,
-                     policy_kind, offsets, dram) -> SimResult:
+def _run_lane_python(lines_l, steps_plus, l2_sets, group, params,
+                     policy_kind, offsets) -> SimResult:
     """One lane's trace pass — the tuned Python fallback.
+
+    ``lines_l``, ``steps_plus`` (steps fused with ``hit_cost``),
+    ``l2_sets`` (the warm image as MRU-first lists) and ``offsets``
+    are plain int lists; ``group`` and ``params`` are as in
+    :func:`run_lanes_general`.
 
     The C kernel's state machine (itself a transcription of the fused
     kernel plus settle) with order-identical Python machinery: cache
@@ -241,7 +256,18 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
     from heapq import heappop, heappush
 
     (dram_lines_per_row, dram_banks, dram_hit_latency, dram_miss_latency,
-     dram_hit_busy, dram_miss_busy) = dram
+     dram_hit_busy, dram_miss_busy) = params.dram
+    l1_num_sets = params.l1_num_sets
+    l1_assoc = params.l1_assoc
+    l2_num_sets = group.l2_num_sets
+    l2_assoc = group.l2_assoc
+    l2_hit_latency = params.l2_hit_latency
+    mq_capacity = params.mq_capacity
+    fill_reserve = params.fill_reserve
+    fill_queue_capacity = params.fill_queue_capacity
+    hit_cost = params.hit_cost
+    mlp = params.mlp
+    credit = params.credit
     l1_set_mask = l1_num_sets - 1
     l2_set_mask = l2_num_sets - 1
     l1_sets = [OrderedDict() for _ in range(l1_num_sets)]
@@ -489,7 +515,7 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
             break
 
     return SimResult(
-        instructions=instructions,
+        instructions=group.instructions,
         cycles=now,
         l1_accesses=len(lines_l),
         l1_hits=hits,
@@ -501,60 +527,57 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
     )
 
 
-def run_lanes_general(lines_l, steps_l, instructions,
-                      l1_num_sets, l1_assoc,
-                      l2_sets, l2_num_sets, l2_assoc,
-                      l2_hit_latency, mq_capacity, fill_reserve,
-                      fill_queue_capacity, hit_cost, mlp, credit,
-                      cells: Sequence[LaneCell], dram,
+def run_lanes_general(group, params, kinds: Sequence[int],
+                      offsets: np.ndarray,
                       backend: Optional[str] = None) -> List[SimResult]:
     """Advance every lane of a batch group over the shared columns.
 
-    Shared arguments are the fields of a
-    :class:`~repro.cpu.batch.LoweredCell`; ``l2_sets`` is
-    the group's warmed L2 image (MRU-first int lists, *not* mutated —
-    each lane works on its own copy) and ``cells`` holds one
-    :class:`LaneCell` per lane.  ``backend`` forces ``"native"`` or
-    ``"python"``; the default picks the compiled kernel when available.
-    Returns one :class:`SimResult` per lane, bit-identical to running
-    each cell alone through :func:`repro.runner.cells.run_cell`.
+    ``group`` is the :class:`~repro.cpu.batch.GeneralGroupState`
+    (``lines``/``steps`` columns, ``l2_template``, L2 geometry,
+    ``instructions``, and :meth:`python_columns` for the fallback);
+    ``params`` is a :class:`~repro.cpu.batch.LoweredCell` carrying the
+    kernel parameters every lane shares.  ``kinds`` holds one policy
+    kind per lane and ``offsets`` is the ``(lanes, records)`` int64
+    matrix of premasked fill offsets (rows of demand-fetch lanes are
+    never read).  Nothing is mutated — each lane works on its own copy
+    of the L2 image.  ``backend`` forces ``"native"`` or ``"python"``;
+    the default picks the compiled kernel when available.  Returns one
+    :class:`SimResult` per lane, bit-identical to running each cell
+    alone through :func:`repro.runner.cells.run_cell`.
     """
     if backend not in (None, "native", "python"):
         raise ValueError(
             f"backend must be None, 'native' or 'python', got {backend!r}")
-    n_lanes = len(cells)
+    n_lanes = len(kinds)
     if n_lanes == 0:
         return []
+    kinds = np.asarray(kinds, dtype=np.int64)
+    if offsets.shape != (n_lanes, len(group.lines)):
+        raise ValueError(
+            f"offsets shape {offsets.shape} != "
+            f"({n_lanes}, {len(group.lines)})")
     used = "python"
     results = None
-    if backend != "python" and mq_capacity <= _NATIVE_MQ_LIMIT:
-        fn = _native()
-        if fn is None:
+    if backend != "python" and params.mq_capacity <= _NATIVE_MQ_LIMIT:
+        lib = _native()
+        if lib is None:
             if backend == "native":
                 raise RuntimeError("native lane kernel unavailable")
         else:
-            results = _run_native(
-                fn, lines_l, steps_l, instructions, l1_num_sets,
-                l1_assoc, l2_sets, l2_num_sets, l2_assoc, l2_hit_latency,
-                mq_capacity, fill_reserve, fill_queue_capacity, hit_cost,
-                mlp, credit, cells, dram)
+            results = _run_native(lib, group, params, kinds, offsets)
             if results is not None:
                 used = "native"
     elif backend == "native":
         raise RuntimeError(
-            f"native lane kernel rejects mq_capacity {mq_capacity}")
+            f"native lane kernel rejects mq_capacity {params.mq_capacity}")
     if results is None:
-        steps_plus = (np.asarray(steps_l, dtype=np.int64)
-                      + hit_cost).tolist()
-        results = []
-        for cell in cells:
-            offsets = (cell.offsets.tolist()
-                       if cell.offsets is not None else ())
-            results.append(_run_lane_python(
-                lines_l, steps_plus, instructions, l1_num_sets, l1_assoc,
-                l2_sets, l2_num_sets, l2_assoc, l2_hit_latency,
-                mq_capacity, fill_reserve, fill_queue_capacity, hit_cost,
-                mlp, credit, cell.policy_kind, offsets, dram))
+        lines_l, l2_sets = group.python_columns()
+        steps_plus = (group.steps + params.hit_cost).tolist()
+        results = [
+            _run_lane_python(lines_l, steps_plus, l2_sets, group, params,
+                             kind, row.tolist() if kind == 2 else ())
+            for kind, row in zip(kinds.tolist(), offsets)
+        ]
     LAST_STATS.clear()
-    LAST_STATS.update(records=len(lines_l), lanes=n_lanes, backend=used)
+    LAST_STATS.update(records=len(group.lines), lanes=n_lanes, backend=used)
     return results

@@ -14,7 +14,7 @@
  *
  * Compiled on demand by repro/cpu/lanes.py with the host toolchain and
  * loaded via ctypes; when no compiler is available the Python per-lane
- * kernel in that module is the fallback.
+ * kernel and warm replay in that module are the fallback.
  */
 
 #include <stdint.h>
@@ -448,6 +448,25 @@ static int run_one_lane(Lane *ln, const int64_t *steps,
     out[5] = ln->memory_lines;
     out[6] = ln->rf_issued;
     return 0;
+}
+
+/* Entry point: the warm-L2 replay.  Access-or-fill each footprint line
+ * into the flat MRU-first image (hits move to MRU, fills evict the LRU
+ * tail), matching SetAssociativeCache under LRU exactly.  l2_template
+ * is l2_num_sets * l2_assoc ways, all -1 (empty) on entry. */
+void warm_l2(int64_t n_lines, const int64_t *lines, int64_t *l2_template,
+             int64_t l2_num_sets, int64_t l2_assoc)
+{
+    int64_t i;
+    int64_t set_mask = l2_num_sets - 1;
+    for (i = 0; i < n_lines; i++) {
+        int64_t line = lines[i];
+        int64_t *ways = l2_template + (line & set_mask) * l2_assoc;
+        if (set_hit(ways, l2_assoc, line))
+            set_touch(ways, l2_assoc, line);
+        else
+            set_install(ways, l2_assoc, line);
+    }
 }
 
 /* Entry point: run every lane of a batch group over the shared trace.

@@ -15,7 +15,10 @@ latency is off the processor's critical path.
 from __future__ import annotations
 
 import random
-from typing import List
+import threading
+from typing import List, Optional
+
+import numpy as np
 
 
 def derive_seed(base_seed: int, *components: object) -> int:
@@ -32,6 +35,41 @@ def derive_seed(base_seed: int, *components: object) -> int:
             h ^= byte
             h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+#: one numpy MT19937 per thread (in practice, per process); every bulk
+#: draw overwrites its state, so seeding a fresh generator from OS
+#: entropy per call is wasted work.  Thread-local rather than locked, so
+#: a pool forked while another thread draws inherits no held lock.
+_LOCAL = threading.local()
+
+
+def _mt_words(rng: random.Random, total: int) -> Optional[np.ndarray]:
+    """``total`` raw 32-bit MT words of ``rng`` via numpy, advancing it.
+
+    Returns ``None`` when the stdlib PRNG state is not the plain
+    624-word Mersenne Twister layout (e.g. a subclassed Random).
+    """
+    try:
+        version, internal, gauss_next = rng.getstate()
+    except (TypeError, ValueError):        # pragma: no cover
+        return None
+    if version != 3 or len(internal) != 625:
+        return None
+    bit_generator = getattr(_LOCAL, "mt19937", None)
+    if bit_generator is None:
+        bit_generator = _LOCAL.mt19937 = np.random.MT19937()
+    bit_generator.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(internal[:-1], dtype=np.uint32),
+                  "pos": internal[-1]},
+    }
+    words = bit_generator.random_raw(total)
+    state = bit_generator.state["state"]
+    rng.setstate((version,
+                  tuple(state["key"].tolist()) + (int(state["pos"]),),
+                  gauss_next))
+    return words
 
 
 class HardwareRng:
@@ -76,89 +114,73 @@ class HardwareRng:
         return self._buffer.pop()
 
     def pregenerate(self, count: int) -> List[int]:
+        """The next ``count`` values of the :meth:`draw` stream, as ints.
+
+        The list form of :meth:`draw_row` (same values, same state left
+        behind).
+        """
+        return self.draw_row(count).tolist()
+
+    def draw_row(self, count: int) -> np.ndarray:
         """The next ``count`` values of the :meth:`draw` stream, at once.
 
         Bit-identical to ``[self.draw() for _ in range(count)]``,
         including the state left behind: the underlying PRNG advances by
         the same number of words and the buffer holds the unconsumed
-        remainder of the last refill, so interleaving ``pregenerate``
-        and ``draw`` calls produces the same stream as ``draw`` alone.
+        remainder of the last refill, so interleaving ``draw_row`` and
+        ``draw`` calls produces the same stream as ``draw`` alone.
 
         The batched runner uses this to turn the per-miss ``draw()``
         calls of a whole cell into one vectorized row: ``getrandbits``
         consumes exactly one 32-bit Mersenne Twister word per call for
         widths <= 32, so the words are produced by numpy's MT19937 from
-        a transplanted state and shifted down to ``width`` bits.  Wider
-        RNGs (none in the paper's 8-bit datapath) and exotic PRNG states
-        fall back to the scalar refill loop.
+        a transplanted state and shifted down to ``width`` bits.  The
+        row is ``uint32`` for those widths; wider RNGs (none in the
+        paper's 8-bit datapath) and exotic PRNG states take the scalar
+        refill loop into a ``uint64`` row (``object`` above 64 bits).
         """
-        if count <= 0:
-            return []
-        taken: List[int] = []
+        width = self.width
+        dtype = np.uint32 if width <= 32 else \
+            np.uint64 if width <= 64 else object
+        count = max(count, 0)
+        row = np.empty(count, dtype=dtype)
         buffer = self._buffer
-        while buffer and len(taken) < count:
-            taken.append(buffer.pop())
-        need = count - len(taken)
-        if need == 0:
-            return taken
-        chunk = self._buffer_size
-        refills = -(-need // chunk)
-        values = self._bulk_values(refills * chunk)
-        taken.extend(values[:need])
-        # Unconsumed tail of the final refill, restored so pop() yields
-        # it in the same order scalar draws would.
-        buffer.extend(reversed(values[need:]))
-        return taken
+        head = min(len(buffer), count)
+        if head:
+            # draw() pops from the end of the buffer
+            row[:head] = buffer[len(buffer) - head:][::-1]
+            del buffer[len(buffer) - head:]
+        need = count - head
+        if need:
+            chunk = self._buffer_size
+            values = self._bulk_values(-(-need // chunk) * chunk, dtype)
+            row[head:] = values[:need]
+            # Unconsumed tail of the final refill, restored so pop()
+            # yields it in the same order scalar draws would.
+            buffer.extend(values[need:][::-1].tolist())
+        return row
 
-    def _bulk_values(self, total: int) -> List[int]:
+    def _bulk_values(self, total: int, dtype) -> np.ndarray:
         """``total`` draw-stream values (a whole number of refills).
 
         Each refill appends ``buffer_size`` words and ``draw`` pops from
         the end, so the consumed order is each chunk reversed.
         """
-        width = self.width
-        if width <= 32:
-            values = self._numpy_words(total)
-            if values is not None:
-                shift = 32 - width
-                return (values.reshape(-1, self._buffer_size)[:, ::-1]
-                        >> shift).ravel().tolist()
-        rand = self._rng.getrandbits
         chunk = self._buffer_size
+        if self.width <= 32:
+            words = _mt_words(self._rng, total)
+            if words is not None:
+                values = np.empty((total // chunk, chunk), dtype=np.uint32)
+                np.right_shift(words.reshape(-1, chunk)[:, ::-1],
+                               32 - self.width, out=values,
+                               casting="unsafe")
+                return values.ravel()
+        rand = self._rng.getrandbits
+        width = self.width
         out: List[int] = []
         for _ in range(total // chunk):
             out.extend([rand(width) for _ in range(chunk)][::-1])
-        return out
-
-    def _numpy_words(self, total: int):
-        """``total`` raw 32-bit MT words via numpy, advancing ``_rng``.
-
-        Returns ``None`` when the stdlib PRNG state is not the plain
-        624-word Mersenne Twister layout (e.g. a subclassed Random).
-        """
-        try:
-            import numpy as np
-        except ImportError:                    # pragma: no cover
-            return None
-        try:
-            version, internal, gauss_next = self._rng.getstate()
-        except (TypeError, ValueError):        # pragma: no cover
-            return None
-        if version != 3 or len(internal) != 625:
-            return None
-        bit_generator = np.random.MT19937()
-        bit_generator.state = {
-            "bit_generator": "MT19937",
-            "state": {"key": np.asarray(internal[:-1], dtype=np.uint64),
-                      "pos": internal[-1]},
-        }
-        words = bit_generator.random_raw(total)
-        state = bit_generator.state["state"]
-        self._rng.setstate((version,
-                            tuple(int(word) for word in state["key"])
-                            + (int(state["pos"]),),
-                            gauss_next))
-        return words
+        return np.array(out, dtype=dtype)
 
     def draw_masked(self, mask: int) -> int:
         """Return ``draw() & mask`` — the bounded value R' of Figure 4."""

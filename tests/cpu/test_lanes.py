@@ -11,25 +11,32 @@ the native C backend and the pure-Python fallback.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.set_associative import SetAssociativeCache
 from repro.cpu import lanes as lanes_mod
 from repro.cpu.batch import (
     group_state_for,
+    lane_inputs,
     lower_cell,
     run_lane_cells,
+    run_lowered_cell,
 )
+from repro.cpu.decode import TraceDecode
 from repro.cpu.lanes import (
     _NATIVE_MQ_LIMIT,
-    LaneCell,
-    masked_offsets,
+    _warm_l2_python,
     native_available,
     run_lanes_general,
+    warm_l2_template,
 )
 from repro.experiments.config import BASELINE_CONFIG
+from repro.experiments.perf_general import warm_l2
 from repro.runner.cells import CellSpec, run_cell
 
 #: pow2 windows the kernels cover, plus demand fetch; the (2, 2)
@@ -70,20 +77,9 @@ def _lower(specs):
 
 
 def _run_lanes(shared, lowered, backend):
-    first = lowered[0]
-    cells = [LaneCell(lc.policy_kind,
-                      masked_offsets(lc.draws, lc.rf_a, lc.rf_mask)
-                      if lc.policy_kind == 2 else None)
-             for lc in lowered]
-    return run_lanes_general(
-        shared.lines, shared.steps, shared.instructions,
-        l1_num_sets=first.l1_num_sets, l1_assoc=first.l1_assoc,
-        l2_sets=shared.l2_sets_view(), l2_num_sets=shared.l2_num_sets,
-        l2_assoc=shared.l2_assoc, l2_hit_latency=first.l2_hit_latency,
-        mq_capacity=first.mq_capacity, fill_reserve=first.fill_reserve,
-        fill_queue_capacity=first.fill_queue_capacity,
-        hit_cost=first.hit_cost, mlp=first.mlp, credit=first.credit,
-        cells=cells, dram=first.dram, backend=backend)
+    kinds, offsets = lane_inputs(lowered, len(shared.lines))
+    return run_lanes_general(shared, lowered[0], kinds, offsets,
+                             backend=backend)
 
 
 class TestLaneIdentity:
@@ -176,3 +172,98 @@ class TestLaneKnobs:
         laned = run_lane_cells(shared, lowered * 2)
         assert lanes_mod.LAST_STATS["backend"] == "python"
         assert laned == [run_cell(spec)] * 2
+
+
+@st.composite
+def _footprints(draw):
+    """An L2 geometry plus a footprint that thrashes a few sets.
+
+    Lines fall into at most four sets with tags drawn from a range a
+    little wider than the associativity, so fills evict, evicted lines
+    come back and hits land at every LRU depth; runs of one line repeat.
+    """
+    num_sets = 1 << draw(st.integers(min_value=0, max_value=12))
+    assoc = draw(st.integers(min_value=1, max_value=16))
+    hot_sets = draw(st.lists(st.integers(min_value=0,
+                                         max_value=num_sets - 1),
+                             min_size=1, max_size=4))
+    picks = draw(st.lists(
+        st.tuples(st.sampled_from(hot_sets),
+                  st.integers(min_value=0, max_value=assoc + 3),
+                  st.integers(min_value=1, max_value=3)),
+        max_size=120))
+    lines = [tag * num_sets + set_index
+             for set_index, tag, repeat in picks for _ in range(repeat)]
+    return num_sets, assoc, lines
+
+
+class TestWarmL2:
+    """The C warm replay, its Python fallback and the object model's
+    ``warm_l2`` leave the same L2, way for way."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_footprints())
+    def test_replays_agree_way_for_way(self, case):
+        num_sets, assoc, lines = case
+        template = warm_l2_template(np.array(lines, dtype=np.int64),
+                                    num_sets, assoc)
+        image = [[way for way in row if way != -1]
+                 for row in template.reshape(num_sets, assoc).tolist()]
+
+        assert _warm_l2_python(lines, num_sets, assoc) == image
+
+        store = SetAssociativeCache(num_sets * assoc * 64, assoc)
+        scheme = SimpleNamespace(
+            hierarchy=SimpleNamespace(l2=SimpleNamespace(tag_store=store)),
+            config=SimpleNamespace(line_size=64))
+        warm_l2(scheme, [(line * 64, 1, 0) for line in lines])
+        assert [[state.line_addr for state in ways]
+                for ways in store._sets] == image
+
+    def test_empty_ways_trail_the_set(self):
+        # MRU first, and -1 (empty) only after every resident line.
+        template = warm_l2_template(np.array([0, 2, 4, 2], dtype=np.int64),
+                                    2, 4)
+        assert template.tolist() == [2, 4, 0, -1, -1, -1, -1, -1]
+
+
+class TestGroupState:
+    def test_arrays_are_read_only(self):
+        shared = group_state_for(_specs("astar", ((4, 3),), warm=True,
+                                        seed=0)[0])
+        for column in (shared.lines, shared.steps, shared.l2_template):
+            assert column.dtype == np.int64
+            assert column.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            shared.l2_template.reshape(-1, shared.l2_assoc)[0] = 1
+
+    @pytest.mark.skipif(not native_available(), reason="no C compiler")
+    def test_native_path_builds_no_int_lists(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("native lane path built an int list")
+
+        monkeypatch.setattr(TraceDecode, "lines_list", refuse)
+        monkeypatch.setattr(TraceDecode, "issue_steps", refuse)
+        monkeypatch.setattr(TraceDecode, "warm_footprint", refuse)
+        specs = _specs("lbm", ((4, 3), (0, 7)), warm=True, seed=3)
+        shared, lowered = _lower(specs)
+        laned = run_lane_cells(shared, lowered)
+        assert lanes_mod.LAST_STATS["backend"] == "native"
+        assert shared._python_columns is None
+        monkeypatch.undo()
+        assert laned == [run_cell(spec) for spec in specs]
+
+    def test_fallback_builds_int_lists_once_per_group(self, monkeypatch):
+        monkeypatch.setattr(lanes_mod, "_native", lambda: None)
+        specs = _specs("astar", ((4, 3), (16, 15)), warm=True, seed=2)
+        shared, lowered = _lower(specs)
+        assert shared._python_columns is None
+        laned = run_lane_cells(shared, lowered[:2])
+        columns = shared._python_columns
+        assert columns is not None
+        laned.append(run_lowered_cell(shared, lowered[2]))
+        assert shared._python_columns is columns
+        assert lanes_mod.LAST_STATS["backend"] == "python"
+        assert laned == [run_cell(spec) for spec in specs]

@@ -1,5 +1,6 @@
 """Tests for the hardware RNG model."""
 
+import numpy as np
 import pytest
 
 from repro.util.rng import HardwareRng, derive_seed
@@ -105,6 +106,65 @@ class TestPregenerate:
         wide = HardwareRng(seed=4, width=48)
         scalar = HardwareRng(seed=4, width=48)
         assert wide.pregenerate(700) == [scalar.draw() for _ in range(700)]
+
+
+def _scalar_twin(seed, width, buffer_size):
+    return HardwareRng(seed=seed, width=width, buffer_size=buffer_size)
+
+
+class TestDrawRow:
+    """``draw_row(n)`` is the array form of ``n`` scalar draws: same
+    values, same RNG state and buffer left behind, at every width."""
+
+    @pytest.mark.parametrize("width", [1, 8, 32, 48, 70])
+    @pytest.mark.parametrize("buffer_size", [7, 256])
+    def test_matches_scalar_draws_and_state(self, width, buffer_size):
+        batched = _scalar_twin(3, width, buffer_size)
+        scalar = _scalar_twin(3, width, buffer_size)
+        for count in (1, buffer_size - 1, buffer_size + 1, 1000, 0, 13):
+            row = batched.draw_row(count)
+            assert row.tolist() == [scalar.draw() for _ in range(count)]
+            assert batched._rng.getstate() == scalar._rng.getstate()
+            assert batched._buffer == scalar._buffer
+
+    @pytest.mark.parametrize("width,dtype", [
+        (1, np.uint32), (8, np.uint32), (32, np.uint32),
+        (48, np.uint64), (70, object)])
+    def test_dtype(self, width, dtype):
+        row = HardwareRng(seed=0, width=width).draw_row(300)
+        assert row.dtype == dtype
+        assert row.shape == (300,)
+
+    @pytest.mark.parametrize("width", [1, 8, 32, 48])
+    def test_interleaved_with_draw(self, width):
+        batched = HardwareRng(seed=8, width=width)
+        scalar = HardwareRng(seed=8, width=width)
+        stream = []
+        for count in (5, 300, 1, 511, 256, 2):
+            stream += batched.draw_row(count).tolist()
+            stream += [batched.draw() for _ in range(count % 7)]
+        assert stream == [scalar.draw() for _ in range(len(stream))]
+        assert batched._rng.getstate() == scalar._rng.getstate()
+        assert batched._buffer == scalar._buffer
+
+    def test_two_instances_alternating(self):
+        # Every bulk draw reuses one process-wide numpy generator; it must
+        # carry no state from one HardwareRng into the next.
+        first, second = HardwareRng(seed=1), HardwareRng(seed=2)
+        first_ref, second_ref = HardwareRng(seed=1), HardwareRng(seed=2)
+        for count in (700, 300, 1, 1024, 333):
+            assert first.draw_row(count).tolist() == \
+                [first_ref.draw() for _ in range(count)]
+            assert second.draw_row(count).tolist() == \
+                [second_ref.draw() for _ in range(count)]
+        assert first._rng.getstate() == first_ref._rng.getstate()
+        assert second._rng.getstate() == second_ref._rng.getstate()
+
+    def test_nonpositive_count_is_empty_noop(self):
+        rng = HardwareRng(seed=1)
+        assert rng.draw_row(0).shape == (0,)
+        assert rng.draw_row(-3).shape == (0,)
+        assert rng.draw() == HardwareRng(seed=1).draw()
 
 
 class TestDeriveSeed:
