@@ -27,6 +27,9 @@ engine, the content-addressed result cache, and the lane kernel:
 * checked mode (``REPRO_CHECK``) must keep bypassing lane planning
   (every checked cell takes the per-cell oracle path) and its on-mode
   slowdown must stay under a soft ceiling,
+* bulk trace synthesis (:mod:`repro.workloads.bulk`) of the 8 Figure 10
+  traces at 100k refs must be bit-identical to the generators' Python
+  loops and >= 10x faster,
 * neither ``single_cell_s`` nor ``fig10_20k_sweep_s`` may regress more
   than 30% against the committed baseline (the CI perf smoke gate).
 
@@ -40,11 +43,15 @@ Timings land in ``BENCH_runner.json`` at the repository root alongside
 the per-sweep entries the ``python -m repro sweep`` CLI records.
 """
 
+import contextlib
 import os
+import random
 import shutil
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 from _reporting import save_report
 
@@ -55,7 +62,9 @@ from repro.runner import CellSpec, record_bench, resolve_jobs, run_cell
 from repro.runner.pool import last_run_stats, run_context
 from repro.runner.result_cache import RESULT_CACHE
 from repro.util.tables import format_table
+from repro.workloads import synthetic
 from repro.workloads.cache import cached_workload
+from repro.workloads.spec import make_workload
 
 SEED_SINGLE_CELL_S = 0.322   # seed revision, reference container
 SEED_FIG10_20K_S = 6.31      # seed revision, reference container
@@ -85,12 +94,44 @@ def _timed(fn):
     return time.process_time() - started
 
 
+class _LoopRandom(random.Random):
+    """The stdlib stream under another type, which the bulk path
+    declines: the generators run their Python loops."""
+
+
+def _synthesize_fig10():
+    return [make_workload(benchmark, n_refs=100_000, seed=5)
+            for benchmark in FIG10_BENCHMARKS]
+
+
+def _synthesis():
+    """Min-of-3 CPU seconds of the 8 traces on the default (bulk) path
+    and on the Python loops, and whether both built the same traces.
+    ``make_workload`` bypasses the trace cache."""
+    def timed(context):
+        best = traces = None
+        for _ in range(3):
+            with context():
+                started = time.process_time()
+                traces = _synthesize_fig10()
+                elapsed = time.process_time() - started
+            best = elapsed if best is None else min(best, elapsed)
+        return best, traces
+
+    bulk_s, bulk_traces = timed(contextlib.nullcontext)
+    loop_s, loop_traces = timed(lambda: mock.patch.object(
+        synthetic, "random", SimpleNamespace(Random=_LoopRandom)))
+    return bulk_s, loop_s, bulk_traces == loop_traces
+
+
 def _points_key(points):
     return [(p.benchmark, p.window, p.result, p.normalized_ipc)
             for p in points]
 
 
 def run():
+    synth_s, synth_python_s, synth_matches = _synthesis()
+
     # Warm the trace cache first so the timings below measure
     # simulation, not trace synthesis (the baselines were measured the
     # same way).
@@ -236,6 +277,10 @@ def run():
         "supervision_pool_restarts": (pool_stats.get("pool_restarts", 0)
                                       + warm_stats.get("pool_restarts", 0)),
         "latency_p95_s": pool_stats.get("latency_p95_s", 0.0),
+        "trace_synth_s": round(synth_s, 4),
+        "trace_synth_python_s": round(synth_python_s, 4),
+        "synth_speedup_vs_python": round(synth_python_s / synth_s, 1),
+        "synth_matches_python": synth_matches,
     }
     record_bench("runner_smoke", payload, path=str(REPORT_PATH))
     return payload
@@ -285,6 +330,11 @@ def test_runner_speedups(benchmark):
     assert payload["checked_matches_unchecked"]
     assert payload["check_overhead_on_x"] <= MAX_CHECK_OVERHEAD_X
     assert payload["checked_bypasses_lanes"]
+
+    # Bulk trace synthesis: the 8 Figure 10 traces at 100k refs are
+    # bit-identical to the generators' Python loops and >= 10x faster.
+    assert payload["synth_matches_python"]
+    assert payload["synth_speedup_vs_python"] >= 10
 
     rows = [(name, str(payload[name])) for name in sorted(payload)]
     save_report("runner_smoke",

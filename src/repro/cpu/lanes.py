@@ -140,6 +140,14 @@ def _native() -> Optional[ctypes.CDLL]:
                               + [i64] * 17 + [_I64P])
     lib.warm_l2.restype = None
     lib.warm_l2.argtypes = [i64, _I64P, _I64P, i64, i64]
+    f64, u32p = ctypes.c_double, ctypes.POINTER(ctypes.c_uint32)
+    lib.synth_mixture.restype = None
+    lib.synth_mixture.argtypes = ([u32p, i64, i64, i64, i64, i64, _I64P,
+                                   f64, f64, i64, i64, i64, f64]
+                                  + [_I64P] * 2)
+    lib.synth_streaming.restype = None
+    lib.synth_streaming.argtypes = ([u32p, i64, i64, i64, i64, i64, f64,
+                                     i64, i64, f64] + [_I64P] * 2)
     _native_lib = lib
     return lib
 

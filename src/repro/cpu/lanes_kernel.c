@@ -14,7 +14,9 @@
  *
  * Compiled on demand by repro/cpu/lanes.py with the host toolchain and
  * loaded via ctypes; when no compiler is available the Python per-lane
- * kernel and warm replay in that module are the fallback.
+ * kernel and warm replay in that module are the fallback.  The library
+ * also carries the trace-synthesis parsers at the end of this file
+ * (repro/workloads/bulk.py; the Python generators are their fallback).
  */
 
 #include <stdint.h>
@@ -571,4 +573,138 @@ done:
     free(ln.charged);
     free(ln.scratch);
     return rc;
+}
+
+/* ---- trace synthesis ------------------------------------------------
+ *
+ * The SPEC stand-in generators of repro/workloads/synthetic.py, rebuilt
+ * from the 32-bit word stream of their random.Random.  CPython builds
+ * every call those generators make from these words: random() takes
+ * two, ((a >> 5) * 2^26 + (b >> 6)) / 2^53, and randrange(n) (so
+ * randint(a, b) = a + randrange(b - a + 1)) takes one word per try,
+ * shifted right by 32 - bit_length(n), retrying while the value is
+ * >= n.  Callers guarantee 1 <= n < 2^32.
+ *
+ * The words come from the generator's own state (its 624-word key and
+ * position, as random.Random.getstate() returns them), advanced by
+ * MT19937 exactly as CPython's _randommodule.c does; the stream is
+ * generated as the parse consumes it, so no word buffer is kept. */
+
+#define MT_N 624
+#define MT_M 397
+
+typedef struct {
+    uint32_t key[MT_N];
+    int64_t pos;
+} Mt;
+
+static void mt_twist(Mt *mt)
+{
+    static const uint32_t mag01[2] = {0U, 0x9908b0dfU};
+    uint32_t *k = mt->key, y;
+    int i;
+    for (i = 0; i < MT_N - MT_M; i++) {
+        y = (k[i] & 0x80000000U) | (k[i + 1] & 0x7fffffffU);
+        k[i] = k[i + MT_M] ^ (y >> 1) ^ mag01[y & 1U];
+    }
+    for (; i < MT_N - 1; i++) {
+        y = (k[i] & 0x80000000U) | (k[i + 1] & 0x7fffffffU);
+        k[i] = k[i + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 1U];
+    }
+    y = (k[MT_N - 1] & 0x80000000U) | (k[0] & 0x7fffffffU);
+    k[MT_N - 1] = k[MT_M - 1] ^ (y >> 1) ^ mag01[y & 1U];
+    mt->pos = 0;
+}
+
+static inline uint32_t mt_word(Mt *mt)
+{
+    uint32_t y;
+    if (mt->pos >= MT_N)
+        mt_twist(mt);
+    y = mt->key[mt->pos++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= y >> 18;
+    return y;
+}
+
+static inline double mt_random(Mt *mt)
+{
+    uint32_t a = mt_word(mt) >> 5;
+    uint32_t b = mt_word(mt) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+static inline int64_t mt_randbelow(Mt *mt, int64_t n)
+{
+    int shift = __builtin_clzll((unsigned long long)n) - 32;
+    int64_t r;
+    do {
+        r = (int64_t)(mt_word(mt) >> shift);
+    } while (r >= n);
+    return r;
+}
+
+static void mt_load(Mt *mt, const uint32_t *key, int64_t pos)
+{
+    memcpy(mt->key, key, sizeof(mt->key));
+    mt->pos = pos;
+}
+
+/* Entry point: locality_mixture after its hot-set sample, from the
+ * generator state (key, pos).  p_near is p_hot + p_neighbor as Python
+ * sums it.  Fills n_refs addresses and write flags. */
+void synth_mixture(const uint32_t *key, int64_t pos, int64_t n_refs,
+                   int64_t base, int64_t working_set_lines,
+                   int64_t hot_lines, const int64_t *hot_set, double p_hot,
+                   double p_near, int64_t neighbor_span,
+                   int64_t refs_per_line, int64_t element_stride,
+                   double write_ratio, int64_t *addr, int64_t *write)
+{
+    Mt mt;
+    int64_t count = 0, prev_line = 0;
+    mt_load(&mt, key, pos);
+    while (count < n_refs) {
+        double roll = mt_random(&mt);
+        int64_t line, e;
+        if (roll < p_hot) {
+            line = hot_set[mt_randbelow(&mt, hot_lines)];
+        } else if (roll < p_near) {
+            line = (prev_line + mt_randbelow(&mt, 2 * neighbor_span + 1)
+                    - neighbor_span) % working_set_lines;
+            if (line < 0)
+                line += working_set_lines;
+        } else {
+            line = mt_randbelow(&mt, working_set_lines);
+        }
+        prev_line = line;
+        for (e = 0; e < refs_per_line && count < n_refs; e++, count++) {
+            write[count] = mt_random(&mt) < write_ratio;
+            addr[count] = base + line * 64 + e * element_stride;
+        }
+    }
+}
+
+/* Entry point: streaming, from the generator state (key, pos). */
+void synth_streaming(const uint32_t *key, int64_t pos, int64_t n_refs,
+                     int64_t base, int64_t array_lines,
+                     int64_t stride_lines_max, double dense_prob,
+                     int64_t refs_per_line, int64_t element_stride,
+                     double write_ratio, int64_t *addr, int64_t *write)
+{
+    Mt mt;
+    int64_t count = 0, line = 0;
+    mt_load(&mt, key, pos);
+    while (count < n_refs) {
+        int64_t line_base = base + (line % array_lines) * 64, e;
+        for (e = 0; e < refs_per_line && count < n_refs; e++, count++) {
+            write[count] = mt_random(&mt) < write_ratio;
+            addr[count] = line_base + e * element_stride;
+        }
+        if (stride_lines_max <= 1 || mt_random(&mt) < dense_prob)
+            line += 1;
+        else
+            line += 2 + mt_randbelow(&mt, stride_lines_max - 1);
+    }
 }

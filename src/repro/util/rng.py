@@ -47,9 +47,12 @@ _LOCAL = threading.local()
 def _mt_words(rng: random.Random, total: int) -> Optional[np.ndarray]:
     """``total`` raw 32-bit MT words of ``rng`` via numpy, advancing it.
 
-    Returns ``None`` when the stdlib PRNG state is not the plain
-    624-word Mersenne Twister layout (e.g. a subclassed Random).
+    Returns ``None`` unless ``rng`` is a plain ``random.Random`` (a
+    subclass may override the calls these words stand for) in the
+    624-word Mersenne Twister state layout.
     """
+    if type(rng) is not random.Random:
+        return None
     try:
         version, internal, gauss_next = rng.getstate()
     except (TypeError, ValueError):        # pragma: no cover

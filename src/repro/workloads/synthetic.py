@@ -9,9 +9,15 @@ primitives here are composed into named benchmarks by
 :mod:`repro.workloads.spec`.
 
 All generators emit columnar :class:`~repro.cpu.trace.Trace` objects
-of ``(byte_addr, gap, write)`` records (see :mod:`repro.cpu.trace`) —
-built by appending to plain per-column lists, then converted to numpy
-in one pass — and are deterministic given their seed.
+of ``(byte_addr, gap, write)`` records (see :mod:`repro.cpu.trace`) and
+are deterministic given their seed.  The loops below are the spec: they
+build a trace one ``random.Random`` call at a time into plain
+per-column lists.  :func:`streaming`, :func:`locality_mixture` and
+:func:`strided` first hand their seeded generator to
+:mod:`repro.workloads.bulk`, which rebuilds the same trace, bit for
+bit, from the generator's raw Mersenne Twister words in numpy and C;
+the loops run only when it declines (no C compiler, or arguments
+outside its exact ranges).
 """
 
 from __future__ import annotations
@@ -20,8 +26,16 @@ import random
 from typing import List
 
 from repro.cpu.trace import Trace
+from repro.workloads import bulk
 
 LINE = 64
+
+
+def _require(name: str, value, minimum: int) -> None:
+    """Refuse a count below ``minimum`` before either backend runs (the
+    Python loops would divide by it or loop on an empty range)."""
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def streaming(n_refs: int, base: int, array_lines: int,
@@ -43,11 +57,18 @@ def streaming(n_refs: int, base: int, array_lines: int,
     """
     if n_refs <= 0:
         raise ValueError(f"n_refs must be positive, got {n_refs}")
+    _require("refs_per_line", refs_per_line, 1)
+    _require("stride_lines_max", stride_lines_max, 1)
+    _require("array_lines", array_lines, 1)
     if array_lines <= stride_lines_max:
         raise ValueError("array too small for the requested stride")
     if not 0.0 <= dense_prob <= 1.0:
         raise ValueError(f"dense_prob must be in [0, 1], got {dense_prob}")
     rng = random.Random(seed)
+    trace = bulk.streaming(rng, n_refs, base, array_lines, refs_per_line,
+                           stride_lines_max, dense_prob, write_ratio, gap)
+    if trace is not None:
+        return trace
     addrs: List[int] = []
     writes: List[int] = []
     line = 0
@@ -91,7 +112,17 @@ def locality_mixture(n_refs: int, base: int, working_set_lines: int,
         raise ValueError("p_hot + p_neighbor must be within [0, 1]")
     if hot_lines > working_set_lines:
         raise ValueError("hot set larger than working set")
+    _require("refs_per_line", refs_per_line, 1)
+    _require("working_set_lines", working_set_lines, 1)
+    _require("neighbor_span", neighbor_span, 0)
+    if p_hot > 0:
+        _require("hot_lines", hot_lines, 1)
     rng = random.Random(seed)
+    trace = bulk.locality_mixture(
+        rng, n_refs, base, working_set_lines, hot_lines, p_hot, p_neighbor,
+        neighbor_span, refs_per_line, write_ratio, gap)
+    if trace is not None:
+        return trace
     addrs: List[int] = []
     writes: List[int] = []
     prev_line = 0
@@ -126,7 +157,13 @@ def strided(n_refs: int, base: int, array_lines: int, stride_lines: int,
         raise ValueError(f"n_refs must be positive, got {n_refs}")
     if stride_lines < 1:
         raise ValueError(f"stride_lines must be >= 1, got {stride_lines}")
+    _require("refs_per_line", refs_per_line, 1)
+    _require("array_lines", array_lines, 1)
     rng = random.Random(seed)
+    trace = bulk.strided(rng, n_refs, base, array_lines, stride_lines,
+                         refs_per_line, write_ratio, gap)
+    if trace is not None:
+        return trace
     addrs: List[int] = []
     writes: List[int] = []
     line = 0

@@ -51,6 +51,18 @@ class TestStreaming:
         with pytest.raises(ValueError):
             streaming(10, BASE, 100, dense_prob=1.5)
 
+    def test_refs_per_line_at_least_one(self):
+        with pytest.raises(ValueError, match="refs_per_line"):
+            streaming(10, BASE, 100, refs_per_line=0)
+
+    def test_stride_lines_max_at_least_one(self):
+        with pytest.raises(ValueError, match="stride_lines_max"):
+            streaming(10, BASE, 100, stride_lines_max=0)
+
+    def test_array_lines_at_least_one(self):
+        with pytest.raises(ValueError, match="array_lines"):
+            streaming(10, BASE, 0, stride_lines_max=1)
+
 
 class TestLocalityMixture:
     def test_length_and_validity(self):
@@ -79,6 +91,24 @@ class TestLocalityMixture:
         with pytest.raises(ValueError):
             locality_mixture(10, BASE, 100, 200, 0.1, 0.1, 1)  # hot > ws
 
+    def test_refs_per_line_at_least_one(self):
+        with pytest.raises(ValueError, match="refs_per_line"):
+            locality_mixture(10, BASE, 100, 10, 0.1, 0.1, 1, refs_per_line=0)
+
+    def test_working_set_lines_at_least_one(self):
+        with pytest.raises(ValueError, match="working_set_lines"):
+            locality_mixture(10, BASE, 0, 0, 0.0, 0.1, 1)
+
+    def test_neighbor_span_not_negative(self):
+        with pytest.raises(ValueError, match="neighbor_span"):
+            locality_mixture(10, BASE, 100, 10, 0.1, 0.1, -1)
+
+    def test_hot_lines_at_least_one_when_hot(self):
+        with pytest.raises(ValueError, match="hot_lines"):
+            locality_mixture(10, BASE, 100, 0, 0.1, 0.1, 1)
+        # no hot set is fine when it is never picked
+        assert len(locality_mixture(10, BASE, 100, 0, 0.0, 0.1, 1)) == 10
+
 
 class TestStrided:
     def test_stride_pattern(self):
@@ -93,6 +123,14 @@ class TestStrided:
             strided(0, BASE, 100, 2)
         with pytest.raises(ValueError):
             strided(10, BASE, 100, 0)
+
+    def test_refs_per_line_at_least_one(self):
+        with pytest.raises(ValueError, match="refs_per_line"):
+            strided(10, BASE, 100, 2, refs_per_line=0)
+
+    def test_array_lines_at_least_one(self):
+        with pytest.raises(ValueError, match="array_lines"):
+            strided(10, BASE, 0, 2)
 
 
 class TestPointerChase:
